@@ -1,6 +1,5 @@
-//! Criterion micro-bench for the PR-8 busy-cycle fast paths: the batched
-//! dispatch/commit loops (`BusyPath::Batched`) against the entry-at-a-time
-//! reference loops (`BusyPath::Legacy`) on the two mixes they target.
+//! Criterion micro-bench for the production pipeline's busy-cycle loops
+//! (group dispatch and run-retire commit) on the two mixes they target.
 //!
 //! * `dispatch_heavy` — a vectorizing single-port wide config on `swim`:
 //!   strided floating-point loads keep the decoder emitting wide DV fetch
@@ -11,47 +10,31 @@
 //!   run-retire drain (one stats flush and one head advance per run)
 //!   dominates.
 //!
-//! Both paths are bit-identical by construction (see `soa_matches_aos` and
-//! the golden-stats pins); this bench tracks the *throughput* gap only.
 //! Like the figure benches, `cargo bench -- --test` doubles as a smoke test.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sdv_sim::{BusyPath, PortKind, Processor, ProcessorConfig, Workload};
+use sdv_sim::{PortKind, Processor, ProcessorConfig, Workload};
 
 const MAX_INSTS: u64 = 60_000;
 
-/// Runs `workload` under `cfg` on the given busy path and returns the cycle
-/// count (consumed by `black_box` so the simulation cannot be elided).
-fn run_cycles(workload: Workload, cfg: &ProcessorConfig, path: BusyPath) -> u64 {
+/// Runs `workload` under `cfg` and returns the cycle count (consumed by
+/// `black_box` so the simulation cannot be elided).
+fn run_cycles(workload: Workload, cfg: &ProcessorConfig) -> u64 {
     let program = workload.build(2);
-    let mut proc = Processor::new(cfg, &program);
-    proc.set_busy_path(path);
-    proc.run(black_box(MAX_INSTS)).cycles
-}
-
-fn dispatch_heavy_config() -> ProcessorConfig {
-    ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true)
-}
-
-fn commit_heavy_config() -> ProcessorConfig {
-    ProcessorConfig::four_way(4, PortKind::Scalar)
+    Processor::new(cfg, &program)
+        .run(black_box(MAX_INSTS))
+        .cycles
 }
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipehot");
-    let dispatch_cfg = dispatch_heavy_config();
-    group.bench_function("dispatch_heavy_batched", |b| {
-        b.iter(|| run_cycles(Workload::Swim, &dispatch_cfg, BusyPath::Batched));
+    let dispatch_cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true);
+    group.bench_function("dispatch_heavy", |b| {
+        b.iter(|| run_cycles(Workload::Swim, &dispatch_cfg));
     });
-    group.bench_function("dispatch_heavy_legacy", |b| {
-        b.iter(|| run_cycles(Workload::Swim, &dispatch_cfg, BusyPath::Legacy));
-    });
-    let commit_cfg = commit_heavy_config();
-    group.bench_function("commit_heavy_batched", |b| {
-        b.iter(|| run_cycles(Workload::M88ksim, &commit_cfg, BusyPath::Batched));
-    });
-    group.bench_function("commit_heavy_legacy", |b| {
-        b.iter(|| run_cycles(Workload::M88ksim, &commit_cfg, BusyPath::Legacy));
+    let commit_cfg = ProcessorConfig::four_way(4, PortKind::Scalar);
+    group.bench_function("commit_heavy", |b| {
+        b.iter(|| run_cycles(Workload::M88ksim, &commit_cfg));
     });
     group.finish();
 }

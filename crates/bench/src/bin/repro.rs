@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures and prints them as text.
 //!
 //! ```text
-//! repro [--quick|--standard|--thorough] [--threads N]
+//! repro [--help] [--quick|--standard|--thorough] [--threads N]
 //!       [--table1] [--fig N]... [--headline] [--all] [--extended]
 //!       [--vl L1,L2,...] [--vregs R1,R2,...]
 //!       [--csv PATH] [--metrics-json PATH] [--trace PATH]
@@ -20,8 +20,8 @@
 //!
 //! Results additionally persist across invocations: the session's
 //! `CellKey → RunStats` results are merged into a sharded result store under
-//! `target/sdv-store/` (override with `--store-dir`; `--cache-dir` is the
-//! pre-store alias; disable with `--no-cache`), so re-running `repro` with an
+//! `target/sdv-store/` (override with `--store-dir`; disable with
+//! `--no-cache`), so re-running `repro` with an
 //! unchanged configuration serves every cell from disk, and parallel jobs can
 //! safely share one store directory (see the `sdv-store` tool for `merge`,
 //! `verify`, `gc` and `stats`).  `--vl`/`--vregs` add DV-sizing axes
@@ -53,9 +53,25 @@
 //!
 //! The output rows mirror the series plotted in the paper; `EXPERIMENTS.md`
 //! records a paper-vs-measured comparison produced with `--standard`.
+//!
+//! `--help` prints the usage banner and exits 0; a malformed command line
+//! (unknown flag, missing or invalid value) prints the error and the banner
+//! on stderr and exits 2.
 
+use sdv_bench::Cli;
 use sdv_sim::{
     report, Experiment, Fig11, Fig12, ObsLevel, PortKind, RunConfig, SweepGrid, Table1, Workload,
+};
+use std::str::FromStr;
+
+const CLI: Cli = Cli {
+    name: "repro",
+    usage: "usage: repro [--help] [--quick|--standard|--thorough] [--threads N]\n\
+       [--table1] [--fig N]... [--headline] [--all] [--extended]\n\
+       [--vl L1,L2,...] [--vregs R1,R2,...]\n\
+       [--csv PATH] [--metrics-json PATH] [--trace PATH]\n\
+       [--timing-json PATH] [--store-dir DIR | --no-cache]\n\
+       [--fail-fast] [--max-retries N]",
 };
 
 #[derive(Debug)]
@@ -72,27 +88,41 @@ struct Options {
     metrics_json: Option<std::path::PathBuf>,
     trace: Option<std::path::PathBuf>,
     timing_json: Option<std::path::PathBuf>,
-    cache_dir: Option<std::path::PathBuf>,
+    store_dir: Option<std::path::PathBuf>,
     no_cache: bool,
     fail_fast: bool,
     max_retries: Option<u32>,
 }
 
+/// The value following `flag`; a usage error naming `what` it requires
+/// when the command line ends instead.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| CLI.usage_error(&format!("{flag} requires {what}")))
+}
+
+/// The value following `flag`, parsed; a usage error when it is missing or
+/// does not parse.
+fn parsed<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> T {
+    let v = value(args, flag, what);
+    v.parse()
+        .unwrap_or_else(|_| CLI.usage_error(&format!("{flag} requires {what}, got `{v}`")))
+}
+
+/// Parses a positive integer such as a `--threads` count or one entry of a
+/// `--vl`/`--vregs` list.
+fn positive(flag: &str, v: &str) -> usize {
+    v.trim()
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| CLI.usage_error(&format!("{flag}: `{v}` is not a positive integer")))
+}
+
 /// Parses a `--vl`/`--vregs` style comma-separated list of positive sizes.
-fn parse_sizes(flag: &str, value: Option<String>) -> Vec<usize> {
-    let value = value.unwrap_or_else(|| panic!("{flag} requires a comma-separated list"));
-    let sizes: Vec<usize> = value
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| panic!("{flag}: `{v}` is not a positive integer"))
-        })
-        .collect();
-    assert!(!sizes.is_empty(), "{flag} requires at least one value");
-    sizes
+fn parse_sizes(args: &mut impl Iterator<Item = String>, flag: &str) -> Vec<usize> {
+    let list = value(args, flag, "a comma-separated list");
+    list.split(',').map(|v| positive(flag, v)).collect()
 }
 
 fn parse_args() -> Options {
@@ -109,24 +139,24 @@ fn parse_args() -> Options {
         metrics_json: None,
         trace: None,
         timing_json: None,
-        cache_dir: None,
+        store_dir: None,
         no_cache: false,
         fail_fast: false,
         max_retries: None,
     };
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = std::env::args().skip(1);
     let mut any_selection = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => opts.run = RunConfig::quick(),
             "--standard" => opts.run = RunConfig::standard(),
             "--thorough" => opts.run = RunConfig::thorough(),
+            "--help" => {
+                println!("{}", CLI.usage);
+                std::process::exit(0);
+            }
             "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| panic!("--threads requires a positive integer"));
+                opts.threads = positive("--threads", &value(&mut args, "--threads", "a count"));
             }
             "--table1" => {
                 opts.table1 = true;
@@ -137,70 +167,35 @@ fn parse_args() -> Options {
                 any_selection = true;
             }
             "--fig" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--fig requires a figure number"));
-                opts.figures.push(n);
+                opts.figures
+                    .push(parsed(&mut args, "--fig", "a figure number"));
                 any_selection = true;
             }
             "--all" => any_selection = false,
             "--extended" => opts.extended = true,
-            "--vl" => opts.vector_lengths = Some(parse_sizes("--vl", args.next())),
-            "--vregs" => opts.vector_registers = Some(parse_sizes("--vregs", args.next())),
-            "--csv" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--csv requires a path"));
-                opts.csv = Some(path.into());
-            }
+            "--vl" => opts.vector_lengths = Some(parse_sizes(&mut args, "--vl")),
+            "--vregs" => opts.vector_registers = Some(parse_sizes(&mut args, "--vregs")),
+            "--csv" => opts.csv = Some(value(&mut args, "--csv", "a path").into()),
             "--metrics-json" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--metrics-json requires a path"));
-                opts.metrics_json = Some(path.into());
+                opts.metrics_json = Some(value(&mut args, "--metrics-json", "a path").into());
             }
-            "--trace" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--trace requires a path"));
-                opts.trace = Some(path.into());
-            }
+            "--trace" => opts.trace = Some(value(&mut args, "--trace", "a path").into()),
             // Deprecated: superseded by --metrics-json (every timing field
             // appears there under engine.timing.* / engine.cell.*).  Kept as
             // a working alias for existing tooling.
             "--timing-json" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--timing-json requires a path"));
-                opts.timing_json = Some(path.into());
+                opts.timing_json = Some(value(&mut args, "--timing-json", "a path").into());
             }
-            // `--cache-dir` is the pre-store spelling; both point the engine
-            // at the same sharded store directory.
-            "--store-dir" | "--cache-dir" => {
-                let dir = args
-                    .next()
-                    .unwrap_or_else(|| panic!("{arg} requires a directory"));
-                opts.cache_dir = Some(dir.into());
+            "--store-dir" => {
+                opts.store_dir = Some(value(&mut args, "--store-dir", "a directory").into());
             }
             "--no-cache" => opts.no_cache = true,
             "--fail-fast" => opts.fail_fast = true,
             "--max-retries" => {
                 opts.max_retries =
-                    Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        panic!("--max-retries requires a non-negative integer")
-                    }));
+                    Some(parsed(&mut args, "--max-retries", "a non-negative integer"));
             }
-            other => {
-                panic!(
-                    "unknown argument `{other}` \
-                     (try --all, --fig N, --table1, --headline, --threads N, \
-                      --extended, --vl L1,L2, --vregs R1,R2, --csv PATH, \
-                      --metrics-json PATH, --trace PATH, --timing-json PATH, \
-                      --store-dir DIR, --no-cache, \
-                      --fail-fast, --max-retries N)"
-                )
-            }
+            other => CLI.usage_error(&format!("unknown argument `{other}`")),
         }
     }
     if !any_selection {
@@ -252,8 +247,7 @@ fn main() {
     let opts = parse_args();
     let rc = opts.run;
     let mut exp = Experiment::new(rc).threads(opts.threads);
-    // Before disk_cache, so the store is born observed (either order works;
-    // this one observes the legacy-import I/O too).
+    // Before disk_cache, so the store is born observed.
     exp = exp.obs(obs_level(&opts));
     if opts.extended {
         exp = exp.workloads(Workload::extended().to_vec());
@@ -262,33 +256,11 @@ fn main() {
         exp = exp.max_retries(retries);
     }
     if !opts.no_cache {
-        let defaulted = opts.cache_dir.is_none();
         let dir = opts
-            .cache_dir
+            .store_dir
             .clone()
             .unwrap_or_else(|| std::path::PathBuf::from("target/sdv-store"));
         exp = exp.disk_cache(dir);
-        // Pre-store repro versions kept their default cache at
-        // target/sdv-cache/cache.bin; when running against the default store
-        // location, import it so an existing warm cache survives the move.
-        let old_default = std::path::Path::new("target/sdv-cache/cache.bin");
-        if defaulted && old_default.exists() {
-            if let Some(store) = exp.engine().store() {
-                match sdv_sim::cachefile::import_legacy(store, old_default) {
-                    Ok(n) if n > 0 => {
-                        println!(
-                            "imported {n} entries from pre-store {}",
-                            old_default.display()
-                        );
-                    }
-                    Ok(_) => {}
-                    Err(e) => eprintln!(
-                        "warning: could not import pre-store {}: {e}",
-                        old_default.display()
-                    ),
-                }
-            }
-        }
     }
     println!(
         "# Speculative Dynamic Vectorization — reproduction run \

@@ -26,16 +26,14 @@
 //! only), 2 command-line error (a usage banner is printed).
 
 use sdv_analyze::{analyze, Severity};
+use sdv_bench::Cli;
 use sdv_workloads::Workload;
 
-const USAGE: &str =
-    "usage: sdv-analyze check [--json] [--scale N] [WORKLOAD... | all | extended]\n\
-       sdv-analyze envelope [--json] [--scale N] [WORKLOAD... | all | extended]";
-
-fn usage_error(message: &str) -> ! {
-    eprintln!("sdv-analyze: {message}\n{USAGE}");
-    std::process::exit(2)
-}
+const CLI: Cli = Cli {
+    name: "sdv-analyze",
+    usage: "usage: sdv-analyze check [--json] [--scale N] [WORKLOAD... | all | extended]\n\
+       sdv-analyze envelope [--json] [--scale N] [WORKLOAD... | all | extended]",
+};
 
 /// Everything after the subcommand: flags plus the workload selection.
 struct Request {
@@ -48,7 +46,7 @@ fn parse_workload(name: &str) -> Workload {
     Workload::extended()
         .into_iter()
         .find(|w| w.name() == name)
-        .unwrap_or_else(|| usage_error(&format!("unknown workload `{name}`")))
+        .unwrap_or_else(|| CLI.usage_error(&format!("unknown workload `{name}`")))
 }
 
 fn parse_request(args: &[String]) -> Request {
@@ -62,18 +60,18 @@ fn parse_request(args: &[String]) -> Request {
             "--scale" => {
                 let value = it
                     .next()
-                    .unwrap_or_else(|| usage_error("--scale needs a value"));
+                    .unwrap_or_else(|| CLI.usage_error("--scale needs a value"));
                 scale = value
                     .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("`{value}` is not a scale")));
+                    .unwrap_or_else(|_| CLI.usage_error(&format!("`{value}` is not a scale")));
                 if scale == 0 {
-                    usage_error("--scale must be at least 1");
+                    CLI.usage_error("--scale must be at least 1");
                 }
             }
             "all" => workloads.extend(Workload::all()),
             "extended" => workloads.extend(Workload::extended()),
             flag if flag.starts_with('-') => {
-                usage_error(&format!("unknown flag `{flag}`"));
+                CLI.usage_error(&format!("unknown flag `{flag}`"));
             }
             name => workloads.push(parse_workload(name)),
         }
@@ -172,7 +170,7 @@ fn main() {
     match args.split_first().map(|(cmd, rest)| (cmd.as_str(), rest)) {
         Some(("check", rest)) => check(&parse_request(rest)),
         Some(("envelope", rest)) => envelope(&parse_request(rest)),
-        Some((other, _)) => usage_error(&format!("unknown subcommand `{other}`")),
-        None => usage_error("a subcommand is required"),
+        Some((other, _)) => CLI.usage_error(&format!("unknown subcommand `{other}`")),
+        None => CLI.usage_error("a subcommand is required"),
     }
 }

@@ -21,16 +21,15 @@
 //! error (usage banner) or malformed/wrong-schema document (message only),
 //! 3 runtime I/O failure.
 
+use sdv_bench::Cli;
 use sdv_obs::{Histogram, MetricsRegistry};
 use std::fmt::Write as _;
 use std::path::Path;
 
-const USAGE: &str = "usage: sdv-obs summarize FILE\n       sdv-obs diff BASE CURRENT";
-
-fn usage_error(message: &str) -> ! {
-    eprintln!("sdv-obs: {message}\n{USAGE}");
-    std::process::exit(2)
-}
+const CLI: Cli = Cli {
+    name: "sdv-obs",
+    usage: "usage: sdv-obs summarize FILE\n       sdv-obs diff BASE CURRENT",
+};
 
 /// A document that could be read but not understood: malformed JSON or a
 /// schema-version mismatch.  Same exit code as operator error — the command
@@ -154,7 +153,7 @@ fn main() {
     match args.split_first().map(|(cmd, rest)| (cmd.as_str(), rest)) {
         Some(("summarize", [file])) => emit(&summarize(Path::new(file))),
         Some(("diff", [base, cur])) => emit(&diff(Path::new(base), Path::new(cur))),
-        Some((other, _)) => usage_error(&format!("unknown or malformed subcommand `{other}`")),
-        None => usage_error("a subcommand is required"),
+        Some((other, _)) => CLI.usage_error(&format!("unknown or malformed subcommand `{other}`")),
+        None => CLI.usage_error("a subcommand is required"),
     }
 }

@@ -21,9 +21,9 @@
 //!   atomically from its surviving entries, and legacy-format shards are
 //!   upgraded in place.  Only provably-corrupt entries are lost — a follow-up
 //!   `verify` is clean.
-//! * `merge` merges result sets into `DEST`: each `SRC` may be another store
-//!   directory (e.g. a parallel job's) or a legacy single-file `cache.bin`.
-//!   Entries written by other builds are skipped, never replayed.
+//! * `merge` merges result sets into `DEST`: each `SRC` is another store
+//!   directory (e.g. a parallel job's).  Entries written by other builds are
+//!   skipped, never replayed.
 //! * `gc` deletes shard files whose fingerprint differs from the kept one
 //!   (default: the current build's) plus abandoned temp files.
 //!
@@ -34,21 +34,20 @@
 //! (a usage banner is printed), 3 runtime I/O failure (message only — the
 //! command line was fine).
 
+use sdv_bench::Cli;
 use sdv_sim::cachefile;
 use sdv_store::Store;
 use std::path::{Path, PathBuf};
 
-const USAGE: &str = "usage: sdv-store fingerprint\n\
+const CLI: Cli = Cli {
+    name: "sdv-store",
+    usage: "usage: sdv-store fingerprint\n\
        sdv-store stats DIR\n\
        sdv-store verify DIR\n\
        sdv-store repair DIR\n\
        sdv-store merge DEST SRC...\n\
-       sdv-store gc DIR [--keep-fingerprint HEX]";
-
-fn usage_error(message: &str) -> ! {
-    eprintln!("sdv-store: {message}\n{USAGE}");
-    std::process::exit(2)
-}
+       sdv-store gc DIR [--keep-fingerprint HEX]",
+};
 
 /// A runtime failure on a well-formed command line: no usage banner, and a
 /// distinct exit code so callers can tell it from operator error (2) and
@@ -96,30 +95,27 @@ fn repair(dir: &Path) {
 
 fn merge(dest: &Path, sources: &[PathBuf]) {
     if sources.is_empty() {
-        usage_error("merge needs at least one SRC");
+        CLI.usage_error("merge needs at least one SRC");
+    }
+    // An absent SRC or a regular file would otherwise read as an empty store
+    // and "merge" zero entries successfully — a typo must fail loudly, and
+    // before DEST is created.
+    for src in sources {
+        if !src.exists() {
+            CLI.usage_error(&format!("merge source {} does not exist", src.display()));
+        }
+        if !src.is_dir() {
+            CLI.usage_error(&format!(
+                "merge source {} is not a store directory",
+                src.display()
+            ));
+        }
     }
     let store = open(dest);
     for src in sources {
-        // An absent SRC would otherwise read as an empty store and "merge"
-        // zero entries successfully — a typo must fail loudly instead.
-        if !src.exists() {
-            usage_error(&format!("merge source {} does not exist", src.display()));
-        }
-        if src.is_file() {
-            match cachefile::import_legacy(&store, src) {
-                Ok(inserted) => {
-                    println!(
-                        "merged legacy file {}: {inserted} entries inserted",
-                        src.display()
-                    );
-                }
-                Err(e) => io_error(&format!("cannot import {}: {e}", src.display())),
-            }
-        } else {
-            match store.merge_from(src) {
-                Ok(report) => println!("merged store {}: {report}", src.display()),
-                Err(e) => io_error(&format!("cannot merge {}: {e}", src.display())),
-            }
+        match store.merge_from(src) {
+            Ok(report) => println!("merged store {}: {report}", src.display()),
+            Err(e) => io_error(&format!("cannot merge {}: {e}", src.display())),
         }
     }
 }
@@ -128,7 +124,7 @@ fn gc(dir: &Path, keep: Option<&str>) {
     let keep = match keep {
         None => cachefile::simulator_fingerprint(),
         Some(hex) => u64::from_str_radix(hex.trim_start_matches("0x"), 16)
-            .unwrap_or_else(|_| usage_error(&format!("`{hex}` is not a hex fingerprint"))),
+            .unwrap_or_else(|_| CLI.usage_error(&format!("`{hex}` is not a hex fingerprint"))),
     };
     let store = open(dir);
     let report = store
@@ -157,7 +153,7 @@ fn main() {
         Some(("gc", [dir, flag, hex])) if flag == "--keep-fingerprint" => {
             gc(Path::new(dir), Some(hex));
         }
-        Some((other, _)) => usage_error(&format!("unknown or malformed subcommand `{other}`")),
-        None => usage_error("a subcommand is required"),
+        Some((other, _)) => CLI.usage_error(&format!("unknown or malformed subcommand `{other}`")),
+        None => CLI.usage_error("a subcommand is required"),
     }
 }

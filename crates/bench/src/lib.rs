@@ -44,6 +44,25 @@ pub fn repro_run_config() -> RunConfig {
     RunConfig::standard()
 }
 
+/// A command-line tool's name and usage banner, shared by the binaries'
+/// operator-error path.
+#[derive(Debug, Clone, Copy)]
+pub struct Cli {
+    /// The binary name, prefixed to every message.
+    pub name: &'static str,
+    /// The usage banner printed after an operator error.
+    pub usage: &'static str,
+}
+
+impl Cli {
+    /// Reports an operator error (bad or missing arguments): the message and
+    /// the usage banner on stderr, then exit code 2.
+    pub fn usage_error(&self, message: &str) -> ! {
+        eprintln!("{}: {message}\n{}", self.name, self.usage);
+        std::process::exit(2)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

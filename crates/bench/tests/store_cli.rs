@@ -173,3 +173,24 @@ fn repair_usage_and_io_errors_keep_the_exit_contract() {
     assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
     assert!(stderr(&out).contains("cannot"), "{}", stderr(&out));
 }
+
+/// `merge` takes store directories only: an absent SRC or a regular file
+/// would read as an empty store and "merge" nothing, so both are usage
+/// errors (exit 2), caught before DEST is created.
+#[test]
+fn merge_rejects_sources_that_are_not_store_directories() {
+    let dest = std::env::temp_dir().join(format!("sdv-store-cli-merge-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dest);
+    let file = fixture_dir().join("shard-ab.bin");
+    let absent = fixture_dir().join("no-such-store");
+    for (src, why) in [
+        (&file, "is not a store directory"),
+        (&absent, "does not exist"),
+    ] {
+        let out = run(&["merge", dest.to_str().unwrap(), src.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stderr(&out).contains(why), "{}", stderr(&out));
+        assert!(stderr(&out).contains("usage:"), "{}", stderr(&out));
+        assert!(!dest.exists(), "DEST is untouched on a usage error");
+    }
+}

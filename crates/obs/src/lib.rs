@@ -302,6 +302,7 @@ mod tests {
     #[test]
     fn json_escape_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

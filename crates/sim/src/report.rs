@@ -6,6 +6,7 @@
 //! where to write.
 
 use crate::figures::{Fig1, Fig13, Fig15, Fig7, PortSweep, WorkloadSeries};
+use sdv_obs::json_escape;
 
 /// Escapes nothing (all our fields are simple), just joins cells with commas.
 fn row<I: IntoIterator<Item = String>>(cells: I) -> String {
@@ -100,21 +101,6 @@ pub fn timing_csv(timing: &crate::EngineTiming) -> String {
             cell.cycles_per_second().to_string(),
         ]));
         out.push('\n');
-    }
-    out
-}
-
-/// Minimal JSON string escaping (labels and workload names are plain ASCII,
-/// but quotes/backslashes must never corrupt the document).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }
@@ -373,6 +359,5 @@ mod tests {
         assert!(json.contains("\"workload\": \"compress\""));
         // Exactly one per-cell row per simulated cell, comma-separated.
         assert_eq!(json.matches("\"config\":").count(), 2);
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
     }
 }

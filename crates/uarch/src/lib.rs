@@ -10,14 +10,13 @@
 //! The main entry points are [`Processor`] (stateful, lets you inspect the
 //! architectural state afterwards) and the [`simulate`] convenience function.
 //!
-//! Three toggles select between fast and reference loops, all bit-identical
-//! by construction and pinned by property tests: [`Scheduler`] picks the
-//! issue engine (event-driven wakeup vs. the naive full scan), [`Stepping`]
-//! picks the clock discipline (macro-stepped jumps over proven stall windows
-//! vs. ticking every cycle), and [`BusyPath`] picks the busy-cycle loop
-//! structure (batched group dispatch and run-retire commit vs. the
-//! entry-at-a-time reference loops).  See the `pipeline` module docs for the
-//! proof obligations behind each.
+//! [`Processor::new`] builds the production path (event-driven wakeup
+//! issue, group dispatch, run-retire commit, macro-stepped clock jumps over
+//! proven stall windows); [`Processor::reference`] builds the one reference
+//! oracle (naive full-window issue scan, entry-at-a-time dispatch and commit,
+//! a clock that ticks every cycle).  The two are bit-identical, pinned by
+//! property tests and the golden stats; see the `pipeline` module docs for
+//! the proof obligations.
 //!
 //! ```
 //! use sdv_isa::{ArchReg, Asm};
@@ -61,9 +60,7 @@ pub mod vector_dp;
 
 pub use config::{ConfigBuilder, FuClassConfig, FuConfig, UarchConfig, DEFAULT_BUS_WORDS};
 pub use fu::FuPool;
-pub use pipeline::{
-    simulate, simulate_bounded, BusyPath, Processor, Scheduler, Stepping, CYCLE_BUDGET_EXCEEDED,
-};
+pub use pipeline::{simulate, simulate_bounded, Processor, CYCLE_BUDGET_EXCEEDED};
 pub use rob::WaiterStats;
 // Re-exported so pipeline consumers can read the cycle-attribution ledger
 // without a direct sdv-obs dependency.

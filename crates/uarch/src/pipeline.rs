@@ -22,77 +22,65 @@
 //!   forces the younger in-flight instructions to re-execute and charges the
 //!   redirect penalty to the front end.
 //!
-//! # Scheduling
+//! # Production path and reference oracle
 //!
 //! The ROB is a struct-of-arrays ring ([`crate::rob::Rob`]) indexed directly
 //! by sequence number: in-flight instructions occupy a contiguous sequence
 //! range, so `seq & mask` addresses a slot in O(1) and the busy-loop probes
 //! (`issued`, `complete_cycle`, the issue-group tag) touch dense scalar lanes
-//! instead of striding over ~150-byte entries.  Two interchangeable issue
-//! schedulers drive it:
+//! instead of striding over ~150-byte entries.  [`Processor::new`] builds the
+//! production path, whose every stage is event driven:
 //!
-//! * [`Scheduler::Wakeup`] (the default) is event driven.  Each entry carries
-//!   a count of incomplete scalar producers; completions are scheduled on a
-//!   timing heap and, when they fire, wake their dependents through a
-//!   producer → waiters table.  Entries whose operands are all available sit
-//!   in a single program-ordered ready set, tagged with their issue group at
-//!   dispatch; issue is one sorted walk over that set, and a structural
-//!   hazard masks the whole group via a bitmask for the rest of the cycle.
-//!   Entries waiting on a *vector* element (whose readiness is signalled by
-//!   the vector data path, not by a ROB completion) sit in a small separate
-//!   queue that is re-polled each cycle.  Load/store disambiguation walks an
-//!   indexed queue of in-flight stores rather than the whole ROB prefix.
-//! * [`Scheduler::NaiveScan`] is the original full-window scan, retained as a
-//!   reference oracle: both schedulers issue the identical instruction
-//!   sequence cycle for cycle (a property test pins this on random programs),
-//!   so every statistic the simulator reports is bit-identical between them.
-//!
-//! # Macro-stepping
-//!
-//! On top of the event-driven scheduler the main loop is itself event driven
-//! ([`Stepping::MacroStep`], the default):
-//!
-//! * **Event-driven commit** — commit tracks the earliest cycle at which the
+//! * **Wakeup issue.**  Each entry carries a count of incomplete scalar
+//!   producers; completions are scheduled on a timing heap and, when they
+//!   fire, wake their dependents through a producer → waiters table.  Entries
+//!   whose operands are all available sit in a single program-ordered ready
+//!   set, tagged with their issue group at dispatch; issue is one sorted walk
+//!   over that set, and a structural hazard masks the whole group via a
+//!   bitmask for the rest of the cycle.  Entries waiting on a *vector*
+//!   element (whose readiness is signalled by the vector data path, not by a
+//!   ROB completion) sit in a small separate queue that is re-polled each
+//!   cycle.  Load/store disambiguation walks an indexed queue of in-flight
+//!   stores rather than the whole ROB prefix.
+//! * **Group dispatch.**  A whole fetch group dispatches at a time.  The
+//!   per-instruction engine interactions stay serial (VRMT decode order is
+//!   architectural), but the wakeup-scoreboard setup is deferred to one
+//!   classification pass over the group with a single waiter-arena append
+//!   run per producer.  Deferring is safe because nothing between the first
+//!   and last instruction of a dispatch group can change a producer's
+//!   completion state (issue ran earlier in the cycle), and
+//!   `vec_sources_satisfied` is monotonic.
+//! * **Run-retire commit.**  Maximal ready runs retire from the ROB head with
+//!   one stats flush and one head advance per run.  A run of completed
+//!   non-store entries retires with no per-entry observable in between:
+//!   stores, the only committing instructions with side effects that can
+//!   gate or squash (§3.6), always terminate a run and go through the
+//!   one-at-a-time path.
+//! * **Event-driven commit.**  Commit tracks the earliest cycle at which the
 //!   ROB head could possibly retire (its completion cycle when issued, the
 //!   next cycle otherwise) and is skipped entirely until then, instead of
 //!   probing the head every tick.  The skipped calls are provably pure, so
-//!   this applies under both schedulers and both stepping modes.
-//! * **Clock jumps** — when the machine is provably idle (fetch blocked or
+//!   the reference oracle skips them too.
+//! * **Macro-stepping.**  When the machine is provably idle (fetch blocked or
 //!   stalled, nothing issuable in the ready set, no vector instance touching
 //!   memory), the loop consults the pending wakeup sources — the completion
 //!   heap, the ROB head's completion cycle, the vector data path's
 //!   element-ready events, the MSHR done-cycle deque and the front end's
 //!   ready cycle — and advances the clock straight to the earliest of them,
 //!   bulk-charging the per-cycle statistics (port-occupancy denominator,
-//!   decode-blocked cycles) for the skipped window.  Every counter stays
-//!   bit-identical to the per-cycle path, which survives as
-//!   [`Stepping::PerCycle`]; a property test pins trace-and-stats equality of
-//!   the two modes on random programs, and `tests/golden_stats.rs` holds the
-//!   full per-workload counter sets.
+//!   decode-blocked cycles) for the skipped window (`try_macro_step` lists
+//!   the proof obligations).
 //!
-//! # Busy paths
-//!
-//! A third toggle, [`BusyPath`], selects how the two busy-cycle stage loops
-//! are structured (both on the same SoA storage, bit-identical by the same
-//! proptest discipline as the scheduler and stepping toggles):
-//!
-//! * [`BusyPath::Batched`] (the default) dispatches a whole fetch group at a
-//!   time — the per-instruction engine interactions stay serial (VRMT decode
-//!   order is architectural), but the wakeup-scoreboard setup is deferred to
-//!   one classification pass over the group with a single waiter-arena append
-//!   run per producer — and commits maximal ready runs from the ROB head with
-//!   one stats flush and one head advance per run.
-//! * [`BusyPath::Legacy`] keeps the original entry-at-a-time dispatch and
-//!   commit loop structure as the reference oracle.
-//!
-//! The equivalence argument for batched dispatch: deferring classification is
-//! safe because nothing between the first and last instruction of a dispatch
-//! group can change a producer's completion state (issue ran earlier in the
-//! cycle), and `vec_sources_satisfied` is monotonic.  For run-retire commit:
-//! a maximal run of completed non-store entries at the head retires with no
-//! per-entry observable in between — stores, the only committing instructions
-//! with side effects that can gate or squash (§3.6), always terminate a run
-//! and go through the one-at-a-time path.
+//! [`Processor::reference`] builds the independent oracle those fast paths
+//! are proven against: the original full-window issue scan with a reverse
+//! walk over the ROB prefix for disambiguation, entry-at-a-time dispatch
+//! (no scoreboard) and commit, and a clock that ticks every cycle (the naive
+//! scan keeps no event state, so macro-stepping always declines).  The two
+//! issue the identical instruction sequence cycle for cycle, so every
+//! statistic the simulator reports is bit-identical between them: a property
+//! test pins trace-and-stats equality on random programs and §3.6 squash
+//! storms, and `tests/golden_stats.rs` pins both against the full
+//! per-workload counter sets.
 
 use crate::config::UarchConfig;
 use crate::fastmap::FastMap;
@@ -169,50 +157,6 @@ fn key_seq(key: u64) -> u64 {
 /// The issue group of a packed ready-set key.
 fn key_group(key: u64) -> u8 {
     (key & 0x7) as u8
-}
-
-/// Which issue scheduler drives the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Event-driven wakeup scheduler with ready queues (the default).
-    #[default]
-    Wakeup,
-    /// The original O(window) per-cycle scan, kept as a reference oracle.
-    NaiveScan,
-}
-
-/// How the main loop advances the simulated clock.
-///
-/// Both modes produce bit-identical statistics and issue traces (pinned by a
-/// property test on random programs and by the golden-stats suite);
-/// [`Stepping::MacroStep`] only skips cycles it can prove would have been
-/// no-ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Stepping {
-    /// Jump the clock over provably idle stall windows (the default).
-    ///
-    /// Requires [`Scheduler::Wakeup`]; under [`Scheduler::NaiveScan`] the
-    /// loop silently ticks per cycle (the naive scheduler has no event state
-    /// to consult).
-    #[default]
-    MacroStep,
-    /// Tick every cycle, kept as the reference oracle.
-    PerCycle,
-}
-
-/// How the busy-cycle stage loops (dispatch, commit) are structured.
-///
-/// Both paths run on the same struct-of-arrays ROB and produce bit-identical
-/// issue traces and statistics (pinned by the `soa_matches_aos` property test
-/// on random programs and squash storms, and by the golden-stats suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BusyPath {
-    /// Group dispatch (one classification pass and one waiter-arena append
-    /// run per producer) plus run-retire commit (the default).
-    #[default]
-    Batched,
-    /// Entry-at-a-time dispatch and commit, kept as the reference oracle.
-    Legacy,
 }
 
 /// Outcome of a single ready-load issue attempt in the wakeup walk.
@@ -315,8 +259,10 @@ pub struct Processor {
     /// Sequence numbers of in-flight stores, in program order: the indexed
     /// store queue used for load/store disambiguation.
     store_queue: VecDeque<u64>,
-    sched: Scheduler,
-    busy_path: BusyPath,
+    /// Built by [`Self::reference`]: naive issue scan, entry-at-a-time
+    /// dispatch and commit, per-cycle clock.  None of the wakeup state below
+    /// is maintained.
+    reference: bool,
     /// Wakeup scheduler: the single program-ordered set of issuable entries —
     /// unissued instructions whose sources are ready, plus pending
     /// validations (which are polled in place).  Elements are packed
@@ -368,7 +314,6 @@ pub struct Processor {
     /// only); consumed and cleared by [`Self::attribute_cycle`].
     cycle_flags: u8,
     cycle: u64,
-    stepping: Stepping,
     /// Event-driven commit: the earliest cycle at which the ROB head could
     /// retire, maintained by [`Self::commit`].  Commit is skipped entirely
     /// before this cycle — the skipped probes are provably pure.
@@ -416,8 +361,7 @@ impl Processor {
             map_table: vec![SrcMapping::Ready; NUM_ARCH_REGS],
             lsq_occupancy: 0,
             store_queue: VecDeque::new(),
-            sched: Scheduler::default(),
-            busy_path: BusyPath::default(),
+            reference: false,
             ready_all: SeqSet::new(),
             vec_pending: SeqSet::new(),
             completions: BinaryHeap::new(),
@@ -435,7 +379,6 @@ impl Processor {
             ledger: None,
             cycle_flags: 0,
             cycle: 0,
-            stepping: Stepping::default(),
             commit_gate: 0,
             macro_jumps: 0,
             macro_skipped_cycles: 0,
@@ -449,40 +392,17 @@ impl Processor {
         }
     }
 
-    /// Selects the issue scheduler.  Call before [`Self::run`]; both
-    /// schedulers produce bit-identical results.
-    pub fn set_scheduler(&mut self, sched: Scheduler) {
-        self.sched = sched;
-    }
-
-    /// The active issue scheduler.
+    /// Builds the reference oracle for `program` with configuration `cfg`:
+    /// the naive full-window issue scan, entry-at-a-time dispatch and commit,
+    /// and a clock that ticks every cycle.  It reports bit-identical
+    /// statistics and issue traces to [`Self::new`]'s production path; the
+    /// property tests and golden stats pin the two against each other.
     #[must_use]
-    pub fn scheduler(&self) -> Scheduler {
-        self.sched
-    }
-
-    /// Selects how the main loop advances the clock.  Call before
-    /// [`Self::run`]; both modes produce bit-identical results.
-    pub fn set_stepping(&mut self, stepping: Stepping) {
-        self.stepping = stepping;
-    }
-
-    /// The active clock-stepping mode.
-    #[must_use]
-    pub fn stepping(&self) -> Stepping {
-        self.stepping
-    }
-
-    /// Selects how the busy-cycle stage loops are structured.  Call before
-    /// [`Self::run`]; both paths produce bit-identical results.
-    pub fn set_busy_path(&mut self, path: BusyPath) {
-        self.busy_path = path;
-    }
-
-    /// The active busy-path mode.
-    #[must_use]
-    pub fn busy_path(&self) -> BusyPath {
-        self.busy_path
+    pub fn reference(cfg: &UarchConfig, program: &Program) -> Self {
+        Processor {
+            reference: true,
+            ..Self::new(cfg, program)
+        }
     }
 
     /// Waiter-arena pool statistics — the hook behind the
@@ -495,7 +415,8 @@ impl Processor {
     /// Macro-stepping telemetry: `(clock jumps taken, total cycles skipped)`.
     ///
     /// Purely informational — deliberately *not* part of [`RunStats`], which
-    /// is compared bit-for-bit between stepping modes.
+    /// is compared bit-for-bit against the reference oracle, which never
+    /// jumps.
     #[must_use]
     pub fn macro_step_telemetry(&self) -> (u64, u64) {
         (self.macro_jumps, self.macro_skipped_cycles)
@@ -522,10 +443,9 @@ impl Processor {
     /// Like the issue trace, the ledger is deliberately *not* part of
     /// [`RunStats`]: stats stay bit-identical whether or not attribution is
     /// on.  Hazard attribution (the unknown-store and structural buckets) is
-    /// recorded by the wakeup scheduler; under [`Scheduler::NaiveScan`] those
+    /// recorded by the wakeup issue walk; under [`Self::reference`] those
     /// cycles land in the residual bucket, but the bucket-sum invariant
-    /// (`CycleLedger::total()` ≡ [`RunStats`] cycles) holds for every
-    /// scheduler, stepping and busy-path combination.
+    /// (`CycleLedger::total()` ≡ [`RunStats`] cycles) holds on both paths.
     pub fn record_cycle_ledger(&mut self, enable: bool) {
         self.ledger = enable.then(|| Box::new(CycleLedger::new()));
         self.cycle_flags = 0;
@@ -637,9 +557,7 @@ impl Processor {
             if attributing {
                 self.attribute_cycle(committed_before);
             }
-            if self.stepping == Stepping::MacroStep {
-                self.try_macro_step(max_insts);
-            }
+            self.try_macro_step(max_insts);
         }
         self.finalize();
         self.stats.clone()
@@ -798,13 +716,6 @@ impl Processor {
 
     // ------------------------------------------------------------- dispatch
 
-    fn dispatch(&mut self) {
-        match self.busy_path {
-            BusyPath::Batched => self.dispatch_batched(),
-            BusyPath::Legacy => self.dispatch_legacy(),
-        }
-    }
-
     /// Whether the front-of-queue instruction can dispatch this cycle.
     /// Charges the §3.2 decode-block statistic when that is what stops it.
     fn can_dispatch_front(&mut self) -> bool {
@@ -826,34 +737,18 @@ impl Processor {
         true
     }
 
-    /// Reference busy path: dispatch and classify one instruction at a time.
-    fn dispatch_legacy(&mut self) {
-        let mut dispatched = 0;
-        while dispatched < self.cfg.issue_width {
-            if !self.can_dispatch_front() {
-                break;
-            }
-            let fetched = self.fetch_queue.pop_front().expect("front exists");
-            let seq = self.dispatch_core(fetched);
-            if self.sched == Scheduler::Wakeup {
-                self.classify_unissued(seq);
-            }
-            dispatched += 1;
-        }
-    }
-
-    /// Batched busy path: dispatch a whole fetch group, then classify the
-    /// group in one pass ([`Self::classify_group`]).
+    /// Dispatches up to a fetch group, then (production path only) classifies
+    /// the group in one pass ([`Self::classify_group`]).
     ///
-    /// The per-instruction half of dispatch is untouched — engine decode
-    /// (VRMT lookups are stateful), map-table updates, the §3.2 block check
-    /// and the Figure-10 window stay in fetch order, so the I$/predictor
-    /// interaction and all architectural decisions are identical to the
-    /// legacy path.  Only the wakeup-scoreboard bookkeeping is deferred,
-    /// which is safe because nothing in the rest of the group can change a
-    /// producer's completion state (issue ran earlier in the cycle) and
-    /// `vec_sources_satisfied` is monotonic.
-    fn dispatch_batched(&mut self) {
+    /// The per-instruction half of dispatch ([`Self::dispatch_core`]) stays
+    /// in fetch order — engine decode (VRMT lookups are stateful), map-table
+    /// updates, the §3.2 block check and the Figure-10 window — so every
+    /// architectural decision is made one instruction at a time.  Only the
+    /// wakeup-scoreboard bookkeeping is deferred, which is safe because
+    /// nothing in the rest of the group can change a producer's completion
+    /// state (issue ran earlier in the cycle) and `vec_sources_satisfied` is
+    /// monotonic.  The reference oracle keeps no scoreboard.
+    fn dispatch(&mut self) {
         let first = self.rob.tail();
         let mut dispatched = 0;
         while dispatched < self.cfg.issue_width {
@@ -864,7 +759,7 @@ impl Processor {
             self.dispatch_core(fetched);
             dispatched += 1;
         }
-        if dispatched > 0 && self.sched == Scheduler::Wakeup {
+        if dispatched > 0 && !self.reference {
             self.classify_group(first);
         }
     }
@@ -892,10 +787,10 @@ impl Processor {
         })
     }
 
-    /// The per-instruction half of dispatch, shared by both busy paths:
-    /// engine decode, rename, Figure-10 accounting and the ROB push.
-    /// Wakeup-scoreboard classification is the caller's job.
-    fn dispatch_core(&mut self, r: Retired) -> u64 {
+    /// The per-instruction half of dispatch: engine decode, rename,
+    /// Figure-10 accounting and the ROB push.  Wakeup-scoreboard
+    /// classification is the caller's job.
+    fn dispatch_core(&mut self, r: Retired) {
         let class = r.inst.op.class();
 
         // Ask the vectorization engine what this instruction becomes.  For a
@@ -986,11 +881,10 @@ impl Processor {
         }
         if r.inst.is_store() {
             self.store_queue.push_back(r.seq);
-            if self.sched == Scheduler::Wakeup {
+            if !self.reference {
                 self.unknown_stores.insert(r.seq);
             }
         }
-        let seq = r.seq;
         let queue = if matches!(mode, ExecMode::Validation { .. }) {
             Q_VALIDATION
         } else {
@@ -1006,13 +900,12 @@ impl Processor {
             },
             queue,
         );
-        seq
     }
 
-    /// Shared scoreboard classification (used at legacy dispatch and by the
-    /// squash rebuild): counts incomplete scalar producers, registers this
-    /// entry as their waiter, and routes it to the validation / ready /
-    /// vector-pending queue its operand state calls for.
+    /// Per-entry scoreboard classification for the squash rebuild: counts
+    /// incomplete scalar producers, registers this entry as their waiter,
+    /// and routes it to the validation / ready / vector-pending queue its
+    /// operand state calls for.
     fn classify_unissued(&mut self, seq: u64) {
         if self.rob.queue(seq) == Q_VALIDATION {
             // Validations are polled in place: they enter the ready set at
@@ -1083,8 +976,8 @@ impl Processor {
         }
         // Bulk wakeup-scoreboard setup: group the edges by producer (a fetch
         // group holds at most 2 × issue width of them) and append each
-        // producer's run in one arena call.  List order differs from the
-        // legacy per-push order, which is invisible: waking only decrements
+        // producer's run in one arena call.  List order differs from
+        // per-edge push order, which is invisible: waking only decrements
         // counts and inserts into sorted sets.
         edges.sort_unstable();
         let mut deps = std::mem::take(&mut self.dep_scratch);
@@ -1179,9 +1072,10 @@ impl Processor {
     }
 
     fn issue(&mut self) {
-        match self.sched {
-            Scheduler::Wakeup => self.issue_wakeup(),
-            Scheduler::NaiveScan => self.issue_naive(),
+        if self.reference {
+            self.issue_naive();
+        } else {
+            self.issue_wakeup();
         }
     }
 
@@ -1623,7 +1517,7 @@ impl Processor {
     /// Rebuilds the wakeup state from the ROB after a squash re-opened
     /// already-issued entries (rare: §3.6 store conflicts only).
     fn rebuild_scheduler(&mut self) {
-        if self.sched != Scheduler::Wakeup {
+        if self.reference {
             return;
         }
         self.ready_all.clear();
@@ -1659,9 +1553,9 @@ impl Processor {
         }
     }
 
-    // ------------------------------------------------------ naive scheduler
+    // ---------------------------------------------------- reference oracle
 
-    /// Reference scheduler: the original per-cycle scan over the whole window.
+    /// Reference issue: the original per-cycle scan over the whole window.
     fn issue_naive(&mut self) {
         let mut issued = 0;
         let mut seq = self.rob.head();
@@ -1835,9 +1729,10 @@ impl Processor {
     // --------------------------------------------------------------- commit
 
     fn commit(&mut self) {
-        match self.busy_path {
-            BusyPath::Batched => self.commit_runs(),
-            BusyPath::Legacy => self.commit_legacy(),
+        if self.reference {
+            self.commit_legacy();
+        } else {
+            self.commit_runs();
         }
     }
 
@@ -1872,13 +1767,13 @@ impl Processor {
         }
         let popped = self.store_queue.pop_front();
         debug_assert_eq!(popped, Some(head), "stores commit in order");
-        if self.sched == Scheduler::Wakeup && self.rob.store_addr_known(head) {
-            // Removing a store can only remove a forwarding source,
-            // never create one, so cached no-forward verdicts (and
-            // the parked queue) stay valid: no epoch bump.
-            self.remove_store_lines(addr, width);
-        }
-        if self.sched == Scheduler::Wakeup {
+        if !self.reference {
+            if self.rob.store_addr_known(head) {
+                // Removing a store can only remove a forwarding source,
+                // never create one, so cached no-forward verdicts (and
+                // the parked queue) stay valid: no epoch bump.
+                self.remove_store_lines(addr, width);
+            }
             // The completion event for this entry is due this cycle but
             // only fires during issue; waking the dependents now (still
             // before the issue scan) is equivalent.
@@ -1890,7 +1785,7 @@ impl Processor {
         true
     }
 
-    /// Reference busy path: the original entry-at-a-time commit loop.
+    /// Reference commit: the original entry-at-a-time loop.
     fn commit_legacy(&mut self) {
         let mut committed = 0;
         let mut stores = 0;
@@ -1907,9 +1802,6 @@ impl Processor {
                     break;
                 }
             } else {
-                if self.sched == Scheduler::Wakeup {
-                    self.wake_waiters_of(head);
-                }
                 let cold = self.rob.pop_front().expect("front exists");
                 self.retire(&cold);
                 self.last_commit_cycle = self.cycle;
@@ -1920,7 +1812,7 @@ impl Processor {
         self.recompute_commit_gate();
     }
 
-    /// Batched busy path: drain maximal ready runs of non-store entries from
+    /// Production commit: drain maximal ready runs of non-store entries from
     /// the ROB head (one stats flush and one head advance per run); stores —
     /// the only committing instructions whose side effects can gate or
     /// squash — terminate every run and commit one at a time.
@@ -1972,9 +1864,7 @@ impl Processor {
         let mut control = 0u64;
         let mut validations = 0u64;
         for seq in head..head + run {
-            if self.sched == Scheduler::Wakeup {
-                self.wake_waiters_of(seq);
-            }
+            self.wake_waiters_of(seq);
             let (mode, dst, is_load, is_mem, is_control, pc, taken, next_pc) = {
                 let cold = self.rob.cold(seq);
                 (
@@ -2138,7 +2028,7 @@ impl Processor {
     /// the loop ticks on, preserving the no-progress assertion's ability to
     /// catch genuine deadlocks.
     fn try_macro_step(&mut self, max_insts: u64) {
-        if self.sched != Scheduler::Wakeup || self.stats.committed >= max_insts || self.finished() {
+        if self.reference || self.stats.committed >= max_insts || self.finished() {
             return;
         }
         if self.vdp.as_ref().is_some_and(|v| v.active_instances() > 0) {
@@ -2232,10 +2122,10 @@ impl Processor {
         self.macro_jumps += 1;
         self.macro_skipped_cycles += skipped;
         if let Some(ledger) = self.ledger.as_deref_mut() {
-            // The whole window is provably idle; the per-cycle path would
-            // have classified each of these cycles individually (so the two
-            // stepping modes split buckets differently), but the bucket-sum
-            // invariant holds in both.
+            // The whole window is provably idle; the reference oracle
+            // classifies each of these cycles individually (so the two
+            // paths split buckets differently), but the bucket-sum invariant
+            // holds on both.
             ledger.record_many(CycleBucket::MacroStepJumped, skipped);
         }
         self.cycle = bound - 1;
@@ -2639,121 +2529,125 @@ mod tests {
         assert!(real.ipc() <= ideal.ipc() * 1.001);
     }
 
-    /// Runs `program` under both schedulers with the issue trace enabled and
-    /// asserts identical traces and statistics.
-    fn assert_schedulers_agree(program: &Program, cfg: &UarchConfig, max_insts: u64) {
-        let mut wakeup = Processor::new(cfg, program);
-        wakeup.record_issue_trace(true);
-        let wakeup_stats = wakeup.run(max_insts);
-        let wakeup_trace = wakeup.take_issue_trace();
+    /// One run's observable outcome: statistics, issue trace and macro-step
+    /// telemetry `(jumps, skipped cycles)`.
+    type Outcome = (RunStats, Vec<(u64, u64)>, (u64, u64));
 
-        let mut naive = Processor::new(cfg, program);
-        naive.set_scheduler(Scheduler::NaiveScan);
-        naive.record_issue_trace(true);
-        let naive_stats = naive.run(max_insts);
-        let naive_trace = naive.take_issue_trace();
+    /// Runs `program` on the production path and on the reference oracle,
+    /// both with the issue trace enabled; returns `[production, reference]`.
+    fn run_against_reference(program: &Program, cfg: &UarchConfig, max_insts: u64) -> [Outcome; 2] {
+        [
+            Processor::new(cfg, program),
+            Processor::reference(cfg, program),
+        ]
+        .map(|mut proc| {
+            proc.record_issue_trace(true);
+            let stats = proc.run(max_insts);
+            (stats, proc.take_issue_trace(), proc.macro_step_telemetry())
+        })
+    }
 
-        assert_eq!(wakeup_trace, naive_trace, "issue sequences must match");
-        assert_eq!(wakeup_stats, naive_stats, "statistics must be identical");
+    /// The three kernels under both port kinds, with and without
+    /// vectorization, each run on both paths.
+    fn kernel_runs() -> Vec<(String, [Outcome; 2])> {
+        let mut runs = Vec::new();
+        for vect in [false, true] {
+            for kind in [PortKind::Scalar, PortKind::Wide] {
+                let cfg = UarchConfig::four_way(1, kind).with_vectorization(vect);
+                for (name, program) in [
+                    ("strided_sum", strided_sum(300)),
+                    ("four_stream_sum", four_stream_sum(100)),
+                    ("pointer_chase", pointer_chase(64)),
+                ] {
+                    let ctx = format!("{name} {kind:?} vect={vect}");
+                    runs.push((ctx, run_against_reference(&program, &cfg, 100_000)));
+                }
+            }
+        }
+        runs
+    }
+
+    /// The store-coherence loop: it drives squash_younger_than_front and the
+    /// scoreboard rebuild.
+    fn store_squash_runs() -> [Outcome; 2] {
+        let mut a = Asm::new();
+        let buf = a.data_u64(&vec![1u64; 128]);
+        let (p, v, c) = (x(1), x(2), x(3));
+        a.li(p, buf as i64);
+        a.li(c, 127);
+        a.label("loop");
+        a.ld(v, p, 0);
+        a.addi(v, v, 1);
+        a.sd(v, p, 8);
+        a.addi(p, p, 8);
+        a.addi(c, c, -1);
+        a.bne(c, ArchReg::ZERO, "loop");
+        a.halt();
+        let program = a.finish();
+        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
+        run_against_reference(&program, &cfg, 1_000_000)
     }
 
     #[test]
     fn wakeup_matches_naive_scan_on_kernels() {
-        for vect in [false, true] {
-            for kind in [PortKind::Scalar, PortKind::Wide] {
-                let cfg = UarchConfig::four_way(1, kind).with_vectorization(vect);
-                assert_schedulers_agree(&strided_sum(300), &cfg, 100_000);
-                assert_schedulers_agree(&four_stream_sum(100), &cfg, 100_000);
-                assert_schedulers_agree(&pointer_chase(64), &cfg, 100_000);
-            }
+        for (ctx, [production, reference]) in kernel_runs() {
+            assert!(!production.1.is_empty(), "{ctx}: something must issue");
+            assert_eq!(
+                production.1, reference.1,
+                "{ctx}: issue sequences must match"
+            );
         }
     }
 
     #[test]
     fn wakeup_matches_naive_scan_under_store_squashes() {
-        // The store-coherence loop exercises squash_younger_than_front and the
-        // scheduler rebuild.
-        let mut a = Asm::new();
-        let buf = a.data_u64(&vec![1u64; 128]);
-        let (p, v, c) = (x(1), x(2), x(3));
-        a.li(p, buf as i64);
-        a.li(c, 127);
-        a.label("loop");
-        a.ld(v, p, 0);
-        a.addi(v, v, 1);
-        a.sd(v, p, 8);
-        a.addi(p, p, 8);
-        a.addi(c, c, -1);
-        a.bne(c, ArchReg::ZERO, "loop");
-        a.halt();
-        let program = a.finish();
-        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-        assert_schedulers_agree(&program, &cfg, 1_000_000);
-    }
-
-    /// Runs `program` under both busy paths (batched group dispatch +
-    /// run-retire commit vs the entry-at-a-time reference loops) with the
-    /// issue trace enabled and asserts identical traces and statistics,
-    /// under both schedulers.
-    fn assert_busy_paths_agree(program: &Program, cfg: &UarchConfig, max_insts: u64) {
-        for sched in [Scheduler::Wakeup, Scheduler::NaiveScan] {
-            let mut batched = Processor::new(cfg, program);
-            assert_eq!(batched.busy_path(), BusyPath::Batched, "default path");
-            batched.set_scheduler(sched);
-            batched.record_issue_trace(true);
-            let batched_stats = batched.run(max_insts);
-            let batched_trace = batched.take_issue_trace();
-
-            let mut legacy = Processor::new(cfg, program);
-            legacy.set_busy_path(BusyPath::Legacy);
-            legacy.set_scheduler(sched);
-            legacy.record_issue_trace(true);
-            let legacy_stats = legacy.run(max_insts);
-            let legacy_trace = legacy.take_issue_trace();
-
-            assert_eq!(
-                batched_trace, legacy_trace,
-                "issue sequences must match under {sched:?}"
-            );
-            assert_eq!(
-                batched_stats, legacy_stats,
-                "statistics must be identical under {sched:?}"
-            );
-        }
+        let [production, reference] = store_squash_runs();
+        assert!(!production.1.is_empty(), "something must issue");
+        assert_eq!(production.1, reference.1, "issue sequences must match");
     }
 
     #[test]
     fn busy_paths_agree_on_kernels() {
-        for vect in [false, true] {
-            for kind in [PortKind::Scalar, PortKind::Wide] {
-                let cfg = UarchConfig::four_way(1, kind).with_vectorization(vect);
-                assert_busy_paths_agree(&strided_sum(300), &cfg, 100_000);
-                assert_busy_paths_agree(&four_stream_sum(100), &cfg, 100_000);
-                assert_busy_paths_agree(&pointer_chase(64), &cfg, 100_000);
-            }
+        for (ctx, [production, reference]) in kernel_runs() {
+            assert_eq!(
+                production.0, reference.0,
+                "{ctx}: statistics must be identical"
+            );
         }
     }
 
     #[test]
     fn busy_paths_agree_under_store_squashes() {
-        // The store-coherence loop drives squash_younger_than_front and the
-        // scheduler rebuild through both dispatch/commit structures.
-        let mut a = Asm::new();
-        let buf = a.data_u64(&vec![1u64; 128]);
-        let (p, v, c) = (x(1), x(2), x(3));
-        a.li(p, buf as i64);
-        a.li(c, 127);
-        a.label("loop");
-        a.ld(v, p, 0);
-        a.addi(v, v, 1);
-        a.sd(v, p, 8);
-        a.addi(p, p, 8);
-        a.addi(c, c, -1);
-        a.bne(c, ArchReg::ZERO, "loop");
-        a.halt();
-        let program = a.finish();
-        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-        assert_busy_paths_agree(&program, &cfg, 1_000_000);
+        let [production, reference] = store_squash_runs();
+        assert!(
+            production.0.dv.expect("dv stats").store_conflicts > 0,
+            "the loop must squash"
+        );
+        assert_eq!(production.0, reference.0, "statistics must be identical");
+    }
+
+    #[test]
+    fn macro_step_matches_per_cycle_on_kernels() {
+        let mut total_jumps = 0;
+        for (ctx, [production, reference]) in kernel_runs() {
+            assert_eq!(reference.2, (0, 0), "{ctx}: the reference never jumps");
+            assert_eq!(
+                production.0.cycles, reference.0.cycles,
+                "{ctx}: cycles must match"
+            );
+            total_jumps += production.2 .0;
+        }
+        assert!(
+            total_jumps > 0,
+            "the clock-jump fast path must actually fire"
+        );
+    }
+
+    #[test]
+    fn macro_step_matches_per_cycle_under_store_squashes() {
+        let [production, reference] = store_squash_runs();
+        assert_eq!(reference.2, (0, 0), "the reference never jumps");
+        assert_eq!(production.0.cycles, reference.0.cycles, "cycles must match");
     }
 
     #[test]
@@ -2774,69 +2668,6 @@ mod tests {
             waiters.capacity
         );
         assert_eq!(waiters.live, 0, "every waiter list drained by halt");
-    }
-
-    /// Runs `program` under both stepping modes with the issue trace enabled
-    /// and asserts identical traces and statistics; returns the macro-step
-    /// telemetry so callers can additionally assert the fast path fired.
-    fn assert_steppings_agree(program: &Program, cfg: &UarchConfig, max_insts: u64) -> (u64, u64) {
-        let mut macro_step = Processor::new(cfg, program);
-        assert_eq!(macro_step.stepping(), Stepping::MacroStep, "default mode");
-        macro_step.record_issue_trace(true);
-        let macro_stats = macro_step.run(max_insts);
-        let macro_trace = macro_step.take_issue_trace();
-
-        let mut per_cycle = Processor::new(cfg, program);
-        per_cycle.set_stepping(Stepping::PerCycle);
-        per_cycle.record_issue_trace(true);
-        let per_cycle_stats = per_cycle.run(max_insts);
-        let per_cycle_trace = per_cycle.take_issue_trace();
-
-        assert_eq!(
-            per_cycle.macro_step_telemetry(),
-            (0, 0),
-            "per-cycle never jumps"
-        );
-        assert_eq!(macro_trace, per_cycle_trace, "issue sequences must match");
-        assert_eq!(macro_stats, per_cycle_stats, "statistics must be identical");
-        macro_step.macro_step_telemetry()
-    }
-
-    #[test]
-    fn macro_step_matches_per_cycle_on_kernels() {
-        let mut total_jumps = 0;
-        for vect in [false, true] {
-            for kind in [PortKind::Scalar, PortKind::Wide] {
-                let cfg = UarchConfig::four_way(1, kind).with_vectorization(vect);
-                total_jumps += assert_steppings_agree(&strided_sum(300), &cfg, 100_000).0;
-                total_jumps += assert_steppings_agree(&four_stream_sum(100), &cfg, 100_000).0;
-                total_jumps += assert_steppings_agree(&pointer_chase(64), &cfg, 100_000).0;
-            }
-        }
-        assert!(
-            total_jumps > 0,
-            "the clock-jump fast path must actually fire"
-        );
-    }
-
-    #[test]
-    fn macro_step_matches_per_cycle_under_store_squashes() {
-        let mut a = Asm::new();
-        let buf = a.data_u64(&vec![1u64; 128]);
-        let (p, v, c) = (x(1), x(2), x(3));
-        a.li(p, buf as i64);
-        a.li(c, 127);
-        a.label("loop");
-        a.ld(v, p, 0);
-        a.addi(v, v, 1);
-        a.sd(v, p, 8);
-        a.addi(p, p, 8);
-        a.addi(c, c, -1);
-        a.bne(c, ArchReg::ZERO, "loop");
-        a.halt();
-        let program = a.finish();
-        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-        assert_steppings_agree(&program, &cfg, 1_000_000);
     }
 
     #[test]

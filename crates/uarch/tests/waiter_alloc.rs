@@ -10,7 +10,7 @@
 //! waiter lists churned allocations.
 
 use sdv_mem::PortKind;
-use sdv_uarch::{BusyPath, Processor, UarchConfig};
+use sdv_uarch::{Processor, UarchConfig};
 use sdv_workloads::Workload;
 
 #[test]
@@ -35,18 +35,26 @@ fn swim_steady_state_performs_no_waiter_allocations() {
     }
 }
 
+/// The production busy path (group dispatch, run-retire commit) and the
+/// reference's entry-at-a-time loops: neither grows the waiter arena on swim,
+/// the reference never touches it, and both reach the same statistics.
 #[test]
 fn both_busy_paths_stay_allocation_free_on_swim() {
     let program = Workload::Swim.build(2);
     let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-    for path in [BusyPath::Batched, BusyPath::Legacy] {
-        let mut proc = Processor::new(&cfg, &program);
-        proc.set_busy_path(path);
-        proc.run(1_000_000);
-        assert_eq!(
-            proc.waiter_stats().heap_growths,
-            0,
-            "no waiter heap growth under {path:?}"
-        );
-    }
+    let mut production = Processor::new(&cfg, &program);
+    let mut reference = Processor::reference(&cfg, &program);
+    let production_stats = production.run(1_000_000);
+    assert_eq!(reference.run(1_000_000), production_stats, "paths agree");
+    assert_eq!(
+        production.waiter_stats().heap_growths,
+        0,
+        "production heap growth"
+    );
+    let reference_waiters = reference.waiter_stats();
+    assert_eq!(
+        reference_waiters.pushes, 0,
+        "the reference keeps no scoreboard"
+    );
+    assert_eq!(reference_waiters.heap_growths, 0, "reference heap growth");
 }

@@ -8,7 +8,8 @@
 //! disambiguation or memory-model change that alters timing by a single cycle
 //! fails this test; performance work must be behaviour-preserving.
 
-use sdv::sim::{PortKind, ProcessorConfig, Workload};
+use sdv::isa::Program;
+use sdv::sim::{PortKind, Processor, ProcessorConfig, RunStats, Workload};
 
 const SCALE: u64 = 1;
 const MAX_INSTS: u64 = 10_000;
@@ -377,116 +378,91 @@ fn config(label: &str) -> ProcessorConfig {
     }
 }
 
+/// Runs every golden cell through `run` and asserts the full counter set.
+fn assert_golden_on_every_cell(path: &str, run: impl Fn(&ProcessorConfig, &Program) -> RunStats) {
+    for &(
+        label,
+        workload,
+        cycles,
+        committed,
+        validations,
+        mem,
+        arith,
+        mispred,
+        used,
+        not_used,
+        not_comp,
+        released,
+    ) in GOLDEN
+    {
+        let stats = run(&config(label), &workload.build(SCALE));
+        let ctx = format!("{path} {label}/{workload}");
+        assert_eq!(stats.cycles, cycles, "{ctx}: cycles");
+        assert_eq!(stats.committed, committed, "{ctx}: committed");
+        assert_eq!(
+            stats.committed_validations, validations,
+            "{ctx}: validations"
+        );
+        assert_eq!(stats.memory_accesses, mem, "{ctx}: memory accesses");
+        assert_eq!(
+            stats.scalar_arith_executed, arith,
+            "{ctx}: scalar arithmetic"
+        );
+        assert_eq!(stats.mispredictions, mispred, "{ctx}: mispredictions");
+        let usage = stats.element_usage.unwrap_or_default();
+        assert_eq!(usage.computed_used, used, "{ctx}: elements computed+used");
+        assert_eq!(usage.computed_not_used, not_used, "{ctx}: computed, unused");
+        assert_eq!(usage.not_computed, not_comp, "{ctx}: never computed");
+        assert_eq!(
+            usage.registers_released, released,
+            "{ctx}: registers released"
+        );
+    }
+}
+
 #[test]
 fn run_stats_match_the_pre_refactor_build_exactly() {
-    for &(
-        label,
-        workload,
-        cycles,
-        committed,
-        validations,
-        mem,
-        arith,
-        mispred,
-        used,
-        not_used,
-        not_comp,
-        released,
-    ) in GOLDEN
-    {
-        let cfg = config(label);
-        let program = workload.build(SCALE);
-        let stats = sdv::uarch::simulate(&cfg, &program, MAX_INSTS);
-        let ctx = format!("{label}/{workload}");
-        assert_eq!(stats.cycles, cycles, "{ctx}: cycles");
-        assert_eq!(stats.committed, committed, "{ctx}: committed");
-        assert_eq!(
-            stats.committed_validations, validations,
-            "{ctx}: validations"
-        );
-        assert_eq!(stats.memory_accesses, mem, "{ctx}: memory accesses");
-        assert_eq!(
-            stats.scalar_arith_executed, arith,
-            "{ctx}: scalar arithmetic"
-        );
-        assert_eq!(stats.mispredictions, mispred, "{ctx}: mispredictions");
-        let usage = stats.element_usage.unwrap_or_default();
-        assert_eq!(usage.computed_used, used, "{ctx}: elements computed+used");
-        assert_eq!(usage.computed_not_used, not_used, "{ctx}: computed, unused");
-        assert_eq!(usage.not_computed, not_comp, "{ctx}: never computed");
-        assert_eq!(
-            usage.registers_released, released,
-            "{ctx}: registers released"
-        );
-    }
+    assert_golden_on_every_cell("production", |cfg, program| {
+        sdv::uarch::simulate(cfg, program, MAX_INSTS)
+    });
 }
 
-/// Every golden cell through the legacy busy path: the entry-at-a-time
-/// dispatch/commit reference loops must reproduce the full golden counter
-/// sets bit-for-bit (the default batched path is pinned by
-/// `run_stats_match_the_pre_refactor_build_exactly` above).
+/// Every golden cell through the reference oracle ([`Processor::reference`]:
+/// naive full-window issue scan, entry-at-a-time dispatch and commit,
+/// per-cycle clock) must reproduce the full golden counter sets bit-for-bit.
 #[test]
 fn legacy_busy_path_matches_the_golden_stats_on_every_cell() {
-    for &(
-        label,
-        workload,
-        cycles,
-        committed,
-        validations,
-        mem,
-        arith,
-        mispred,
-        used,
-        not_used,
-        not_comp,
-        released,
-    ) in GOLDEN
-    {
-        let cfg = config(label);
-        let program = workload.build(SCALE);
-        let mut proc = sdv::uarch::Processor::new(&cfg, &program);
-        proc.set_busy_path(sdv::uarch::BusyPath::Legacy);
-        let stats = proc.run(MAX_INSTS);
-        let ctx = format!("legacy busy path {label}/{workload}");
-        assert_eq!(stats.cycles, cycles, "{ctx}: cycles");
-        assert_eq!(stats.committed, committed, "{ctx}: committed");
-        assert_eq!(
-            stats.committed_validations, validations,
-            "{ctx}: validations"
-        );
-        assert_eq!(stats.memory_accesses, mem, "{ctx}: memory accesses");
-        assert_eq!(
-            stats.scalar_arith_executed, arith,
-            "{ctx}: scalar arithmetic"
-        );
-        assert_eq!(stats.mispredictions, mispred, "{ctx}: mispredictions");
-        let usage = stats.element_usage.unwrap_or_default();
-        assert_eq!(usage.computed_used, used, "{ctx}: elements computed+used");
-        assert_eq!(usage.computed_not_used, not_used, "{ctx}: computed, unused");
-        assert_eq!(usage.not_computed, not_comp, "{ctx}: never computed");
-        assert_eq!(
-            usage.registers_released, released,
-            "{ctx}: registers released"
-        );
-    }
+    assert_golden_on_every_cell("reference", |cfg, program| {
+        Processor::reference(cfg, program).run(MAX_INSTS)
+    });
 }
 
-/// The same cells through the oracle scheduler: the naive full-window scan
-/// must reproduce the identical golden numbers.
+/// Every fifth golden cell with the issue trace recorded: the reference's
+/// naive scan must issue the same sequence as the production wakeup
+/// scheduler on real workloads, and recording must not move it off the
+/// golden numbers.
 #[test]
 fn oracle_scheduler_matches_the_golden_stats_too() {
     for &(label, workload, cycles, _, validations, mem, ..) in GOLDEN.iter().step_by(5) {
         let cfg = config(label);
         let program = workload.build(SCALE);
-        let mut proc = sdv::uarch::Processor::new(&cfg, &program);
-        proc.set_scheduler(sdv::uarch::Scheduler::NaiveScan);
-        let stats = proc.run(MAX_INSTS);
+        let [production, reference] = [
+            Processor::new(&cfg, &program),
+            Processor::reference(&cfg, &program),
+        ]
+        .map(|mut proc| {
+            proc.record_issue_trace(true);
+            let stats = proc.run(MAX_INSTS);
+            (stats, proc.take_issue_trace())
+        });
         let ctx = format!("oracle {label}/{workload}");
-        assert_eq!(stats.cycles, cycles, "{ctx}: cycles");
+        assert!(!reference.1.is_empty(), "{ctx}: something must issue");
+        assert_eq!(production.1, reference.1, "{ctx}: issue sequences");
+        assert_eq!(reference.0.cycles, cycles, "{ctx}: cycles");
         assert_eq!(
-            stats.committed_validations, validations,
+            reference.0.committed_validations, validations,
             "{ctx}: validations"
         );
-        assert_eq!(stats.memory_accesses, mem, "{ctx}: memory accesses");
+        assert_eq!(reference.0.memory_accesses, mem, "{ctx}: memory accesses");
     }
 }

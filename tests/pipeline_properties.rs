@@ -181,11 +181,48 @@ proptest! {
         // the scalar arithmetic count.
         prop_assert!(dv.scalar_arith_executed <= base.scalar_arith_executed);
     }
+}
 
-    /// Scheduler-equivalence oracle: on random programs, the event-driven
-    /// wakeup scheduler must issue the *same instruction sequence* — cycle by
-    /// cycle, sequence number by sequence number — as the naive full-window
-    /// scan it replaced, and produce bit-identical statistics.
+/// Runs `program` on the production path and on the reference oracle
+/// ([`Processor::reference`]: naive full-window scan, entry-at-a-time dispatch
+/// and commit, per-cycle clock) with the issue trace enabled, and checks that
+/// both issue the same instruction sequence, cycle by cycle and sequence
+/// number by sequence number, and produce bit-identical statistics.
+fn check_production_matches_reference(
+    cfg: &ProcessorConfig,
+    program: &Program,
+) -> Result<(), TestCaseError> {
+    let mut production = Processor::new(cfg, program);
+    production.record_issue_trace(true);
+    let production_stats = production.run(1_000_000);
+    let production_trace = production.take_issue_trace();
+
+    let mut reference = Processor::reference(cfg, program);
+    reference.record_issue_trace(true);
+    let reference_stats = reference.run(1_000_000);
+    let reference_trace = reference.take_issue_trace();
+
+    prop_assert!(!production_trace.is_empty(), "something must issue");
+    prop_assert_eq!(
+        reference.macro_step_telemetry(),
+        (0, 0),
+        "the reference never jumps"
+    );
+    prop_assert_eq!(
+        &production_trace,
+        &reference_trace,
+        "issue sequences diverge"
+    );
+    prop_assert_eq!(production_stats, reference_stats, "statistics diverge");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Scheduler equivalence: on random programs, the event-driven wakeup
+    /// scheduler must issue the same instruction sequence as the reference's
+    /// naive full-window scan.
     #[test]
     fn wakeup_scheduler_issues_the_same_sequence_as_the_full_scan_oracle(
         steps in proptest::collection::vec(step_strategy(), 1..8),
@@ -193,35 +230,18 @@ proptest! {
         vectorize in any::<bool>(),
         wide in any::<bool>(),
     ) {
-        use sdv::uarch::{Processor, Scheduler};
-        let steps = dedup_strided(steps);
-        let program = build_program(&steps, iterations);
+        let program = build_program(&dedup_strided(steps), iterations);
         let kind = if wide { PortKind::Wide } else { PortKind::Scalar };
         let cfg = ProcessorConfig::four_way(1, kind).with_vectorization(vectorize);
-
-        let mut wakeup = Processor::new(&cfg, &program);
-        wakeup.record_issue_trace(true);
-        let wakeup_stats = wakeup.run(1_000_000);
-        let wakeup_trace = wakeup.take_issue_trace();
-
-        let mut oracle = Processor::new(&cfg, &program);
-        oracle.set_scheduler(Scheduler::NaiveScan);
-        oracle.record_issue_trace(true);
-        let oracle_stats = oracle.run(1_000_000);
-        let oracle_trace = oracle.take_issue_trace();
-
-        prop_assert!(!wakeup_trace.is_empty(), "something must issue");
-        prop_assert_eq!(&wakeup_trace, &oracle_trace, "issue sequences diverge");
-        prop_assert_eq!(wakeup_stats, oracle_stats, "statistics diverge");
+        check_production_matches_reference(&cfg, &program)?;
     }
 
-    /// Busy-path-equivalence oracle (`SoA ≡ AoS`): the batched busy path —
+    /// Busy-path equivalence (`SoA ≡ AoS`): the production busy path —
     /// struct-of-arrays ROB lanes, group dispatch with bulk waiter-arena
-    /// setup, run-retire commit — must issue the same instruction sequence,
-    /// cycle by cycle, and produce bit-identical statistics as the legacy
-    /// entry-at-a-time loops, on random programs *and* on store-coherence
-    /// squash storms (§3.6 squashes rebuild the whole scoreboard, which is
-    /// where a struct-of-arrays port would drift first).
+    /// setup, run-retire commit — must match the reference's entry-at-a-time
+    /// loops on random programs *and* on store-coherence squash storms (§3.6
+    /// squashes rebuild the whole scoreboard, which is where a
+    /// struct-of-arrays port would drift first).
     #[test]
     fn soa_matches_aos(
         steps in proptest::collection::vec(step_strategy(), 1..8),
@@ -231,41 +251,19 @@ proptest! {
         storm in any::<bool>(),
         storm_offset in 1u8..4,
     ) {
-        use sdv::uarch::{BusyPath, Processor, Scheduler};
-        let steps = dedup_strided(steps);
         let program = if storm {
             build_squash_storm(storm_offset, iterations)
         } else {
-            build_program(&steps, iterations)
+            build_program(&dedup_strided(steps), iterations)
         };
         let kind = if wide { PortKind::Wide } else { PortKind::Scalar };
         let cfg = ProcessorConfig::four_way(1, kind).with_vectorization(vectorize);
-
-        for sched in [Scheduler::Wakeup, Scheduler::NaiveScan] {
-            let mut batched = Processor::new(&cfg, &program);
-            prop_assert_eq!(batched.busy_path(), BusyPath::Batched, "default path");
-            batched.set_scheduler(sched);
-            batched.record_issue_trace(true);
-            let batched_stats = batched.run(1_000_000);
-            let batched_trace = batched.take_issue_trace();
-
-            let mut legacy = Processor::new(&cfg, &program);
-            legacy.set_busy_path(BusyPath::Legacy);
-            legacy.set_scheduler(sched);
-            legacy.record_issue_trace(true);
-            let legacy_stats = legacy.run(1_000_000);
-            let legacy_trace = legacy.take_issue_trace();
-
-            prop_assert!(!batched_trace.is_empty(), "something must issue");
-            prop_assert_eq!(&batched_trace, &legacy_trace, "issue sequences diverge");
-            prop_assert_eq!(batched_stats, legacy_stats, "statistics diverge");
-        }
+        check_production_matches_reference(&cfg, &program)?;
     }
 
-    /// Stepping-equivalence oracle: macro-stepping (the default, which jumps
-    /// the clock over provably idle stall windows) must issue the same
-    /// instruction sequence — cycle by cycle — and produce bit-identical
-    /// statistics as the per-cycle reference loop on random programs.
+    /// Stepping equivalence: macro-stepping, which jumps the clock over
+    /// provably idle stall windows, must match the reference's per-cycle
+    /// clock on random programs.
     #[test]
     fn macro_stepping_matches_the_per_cycle_loop(
         steps in proptest::collection::vec(step_strategy(), 1..8),
@@ -273,25 +271,9 @@ proptest! {
         vectorize in any::<bool>(),
         wide in any::<bool>(),
     ) {
-        use sdv::uarch::{Processor, Stepping};
-        let steps = dedup_strided(steps);
-        let program = build_program(&steps, iterations);
+        let program = build_program(&dedup_strided(steps), iterations);
         let kind = if wide { PortKind::Wide } else { PortKind::Scalar };
         let cfg = ProcessorConfig::four_way(1, kind).with_vectorization(vectorize);
-
-        let mut macro_step = Processor::new(&cfg, &program);
-        macro_step.record_issue_trace(true);
-        let macro_stats = macro_step.run(1_000_000);
-        let macro_trace = macro_step.take_issue_trace();
-
-        let mut per_cycle = Processor::new(&cfg, &program);
-        per_cycle.set_stepping(Stepping::PerCycle);
-        per_cycle.record_issue_trace(true);
-        let per_cycle_stats = per_cycle.run(1_000_000);
-        let per_cycle_trace = per_cycle.take_issue_trace();
-
-        prop_assert!(!macro_trace.is_empty(), "something must issue");
-        prop_assert_eq!(&macro_trace, &per_cycle_trace, "issue sequences diverge");
-        prop_assert_eq!(macro_stats, per_cycle_stats, "statistics diverge");
+        check_production_matches_reference(&cfg, &program)?;
     }
 }
