@@ -1,5 +1,6 @@
 //! Typed diagnostics and their machine-readable rendering.
 
+use sdv_obs::json_escape;
 use std::fmt;
 
 /// How bad a finding is.
@@ -129,7 +130,7 @@ impl Diag {
             self.severity,
             self.rule,
             pc,
-            escape_json(&self.msg)
+            json_escape(&self.msg)
         )
     }
 }
@@ -145,21 +146,6 @@ impl fmt::Display for Diag {
             None => write!(f, "{}: {} [{}]", self.severity, self.msg, self.rule),
         }
     }
-}
-
-/// Escapes a string for embedding in a JSON literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -191,8 +177,8 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        let d = Diag::new(Rule::UseBeforeDef, None, "a\"b\\c\nd");
+        assert!(d.to_json().contains("\"msg\":\"a\\\"b\\\\c\\nd\""));
     }
 
     #[test]

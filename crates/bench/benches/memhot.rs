@@ -1,21 +1,18 @@
-//! Criterion micro-bench for the PR-4 hot paths: `Cache::access` under
-//! hit-heavy and miss-heavy mixes (way-predicted fast path vs the `NaiveScan`
-//! reference) and the batched emulator hand-off (`Emulator::step_group` vs
-//! per-instruction `step`).
+//! Criterion micro-bench for the memory and emulator hot paths:
+//! `Cache::access` under hit-heavy and miss-heavy mixes (the way-predicted
+//! production path vs the `Cache::reference` scan) and the batched emulator
+//! hand-off (`Emulator::step_group` vs per-instruction `step`).
 //!
-//! Like the figure benches, `cargo bench -- --test` doubles as a smoke test;
-//! the absolute numbers feed the "make the per-access hot path O(1)" work
-//! tracked in `BENCH_pr4.json`.
+//! `cargo bench -- --test` runs each target once as a smoke test.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sdv_emu::Emulator;
-use sdv_mem::{Cache, CacheConfig, CacheModel};
+use sdv_mem::{Cache, CacheConfig};
 use sdv_sim::Workload;
 
 /// Hit-heavy stream: sequential words through a working set that fits in the
 /// L1 (one cold pass, then in-cache re-reads with occasional writes).
-fn cache_stream_hits(model: CacheModel) -> u64 {
-    let mut cache = Cache::with_model(CacheConfig::l1d_table1(), model);
+fn cache_stream_hits(mut cache: Cache) -> u64 {
     let mut hits = 0;
     for pass in 0..4u64 {
         for addr in (0..16 * 1024u64).step_by(8) {
@@ -32,8 +29,7 @@ fn cache_stream_hits(model: CacheModel) -> u64 {
 
 /// Miss-heavy stream: page-strided addresses that collide in a few sets, so
 /// nearly every access is a fill plus an eviction (many dirty).
-fn cache_stream_misses(model: CacheModel) -> u64 {
-    let mut cache = Cache::with_model(CacheConfig::l1d_table1(), model);
+fn cache_stream_misses(mut cache: Cache) -> u64 {
     let mut writebacks = 0;
     for round in 0..8u64 {
         for line in 0..1024u64 {
@@ -83,16 +79,16 @@ fn emulate_grouped(max_insts: u64, group: usize) -> u64 {
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("memhot");
     group.bench_function("cache_hits_fastpath", |b| {
-        b.iter(|| cache_stream_hits(CacheModel::FastPath));
+        b.iter(|| cache_stream_hits(Cache::new(CacheConfig::l1d_table1())));
     });
     group.bench_function("cache_hits_naive", |b| {
-        b.iter(|| cache_stream_hits(CacheModel::NaiveScan));
+        b.iter(|| cache_stream_hits(Cache::reference(CacheConfig::l1d_table1())));
     });
     group.bench_function("cache_misses_fastpath", |b| {
-        b.iter(|| cache_stream_misses(CacheModel::FastPath));
+        b.iter(|| cache_stream_misses(Cache::new(CacheConfig::l1d_table1())));
     });
     group.bench_function("cache_misses_naive", |b| {
-        b.iter(|| cache_stream_misses(CacheModel::NaiveScan));
+        b.iter(|| cache_stream_misses(Cache::reference(CacheConfig::l1d_table1())));
     });
     group.bench_function("emulate_step", |b| b.iter(|| emulate_stepwise(30_000)));
     group.bench_function("emulate_step_group4", |b| {

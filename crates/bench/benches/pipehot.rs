@@ -10,7 +10,7 @@
 //!   run-retire drain (one stats flush and one head advance per run)
 //!   dominates.
 //!
-//! Like the figure benches, `cargo bench -- --test` doubles as a smoke test.
+//! `cargo bench -- --test` runs each target once as a smoke test.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sdv_sim::{PortKind, Processor, ProcessorConfig, Workload};

@@ -55,8 +55,10 @@
 //! records a paper-vs-measured comparison produced with `--standard`.
 //!
 //! `--help` prints the usage banner and exits 0; a malformed command line
-//! (unknown flag, missing or invalid value) prints the error and the banner
-//! on stderr and exits 2.
+//! (unknown flag, missing or invalid value, a `--fig` that is not a measured
+//! figure) prints the error and the banner on stderr and exits 2.  An output
+//! file (`--csv`, `--metrics-json`, `--trace`, `--timing-json`) that cannot
+//! be written prints the error on stderr and exits 3.
 
 use sdv_bench::Cli;
 use sdv_sim::{
@@ -73,6 +75,10 @@ const CLI: Cli = Cli {
        [--timing-json PATH] [--store-dir DIR | --no-cache]\n\
        [--fail-fast] [--max-retries N]",
 };
+
+/// The paper's measured figures, in print order (2, 4, 5, 6 and 8 are block
+/// diagrams).
+const FIGURES: [u32; 10] = [1, 3, 7, 9, 10, 11, 12, 13, 14, 15];
 
 #[derive(Debug)]
 struct Options {
@@ -127,7 +133,7 @@ fn parse_sizes(args: &mut impl Iterator<Item = String>, flag: &str) -> Vec<usize
 
 fn parse_args() -> Options {
     let mut opts = Options {
-        run: sdv_bench::repro_run_config(),
+        run: RunConfig::standard(),
         threads: 1,
         table1: false,
         figures: Vec::new(),
@@ -167,8 +173,14 @@ fn parse_args() -> Options {
                 any_selection = true;
             }
             "--fig" => {
-                opts.figures
-                    .push(parsed(&mut args, "--fig", "a figure number"));
+                let fig = parsed(&mut args, "--fig", "a figure number");
+                if !FIGURES.contains(&fig) {
+                    CLI.usage_error(&format!(
+                        "--fig: figure {fig} is not a measured figure \
+                         (measured: 1, 3, 7, 9-15; 2, 4, 5, 6 and 8 are block diagrams)"
+                    ));
+                }
+                opts.figures.push(fig);
                 any_selection = true;
             }
             "--all" => any_selection = false,
@@ -201,9 +213,17 @@ fn parse_args() -> Options {
     if !any_selection {
         opts.table1 = true;
         opts.headline = true;
-        opts.figures = vec![1, 3, 7, 9, 10, 11, 12, 13, 14, 15];
+        opts.figures = FIGURES.to_vec();
     }
     opts
+}
+
+/// Writes one output file; a path that cannot be written is a runtime
+/// failure (exit 3).
+fn write_output(path: &std::path::Path, contents: String, what: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| {
+        CLI.io_error(&format!("cannot write {what} to {}: {e}", path.display()))
+    });
 }
 
 /// Prints the per-cell failure details, if any; returns whether there were
@@ -302,9 +322,7 @@ fn main() {
             13 => println!("{}", exp.fig13()),
             14 => println!("{}", exp.fig14()),
             15 => println!("{}", exp.fig15()),
-            other => eprintln!(
-                "figure {other} is not a measured figure (2, 4, 5, 6 and 8 are block diagrams)"
-            ),
+            other => unreachable!("--fig {other} passed parse-time validation"),
         }
         check_fail_fast(&exp, opts.fail_fast);
     }
@@ -316,7 +334,7 @@ fn main() {
 
     if let Some(path) = &opts.csv {
         let sweep = sweep.get_or_insert_with(|| exp.sweep(&grid));
-        std::fs::write(path, report::sweep_csv(sweep)).expect("CSV written");
+        write_output(path, report::sweep_csv(sweep), "the sweep CSV");
         println!("sweep surface written to {}", path.display());
         check_fail_fast(&exp, opts.fail_fast);
     }
@@ -340,18 +358,18 @@ fn main() {
     let timing = exp.timing();
     println!("{timing}");
     if let Some(path) = &opts.timing_json {
-        std::fs::write(path, report::timing_json(&timing)).expect("timing JSON written");
+        write_output(path, report::timing_json(&timing), "the timing JSON");
         println!(
             "engine timing written to {} (deprecated; prefer --metrics-json)",
             path.display()
         );
     }
     if let Some(path) = &opts.metrics_json {
-        std::fs::write(path, report::metrics_json(exp.engine())).expect("metrics JSON written");
+        write_output(path, report::metrics_json(exp.engine()), "the metrics JSON");
         println!("metrics written to {}", path.display());
     }
     if let Some(path) = &opts.trace {
-        std::fs::write(path, exp.engine().obs().trace_json()).expect("trace written");
+        write_output(path, exp.engine().obs().trace_json(), "the trace");
         println!(
             "trace written to {} (load in Perfetto or chrome://tracing)",
             path.display()

@@ -41,15 +41,9 @@ fn data_error(message: &str) -> ! {
     std::process::exit(2)
 }
 
-/// A runtime failure on a well-formed command line (unreadable file).
-fn io_error(message: &str) -> ! {
-    eprintln!("sdv-obs: {message}");
-    std::process::exit(3)
-}
-
 fn load(path: &Path) -> MetricsRegistry {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| io_error(&format!("cannot read {}: {e}", path.display())));
+        .unwrap_or_else(|e| CLI.io_error(&format!("cannot read {}: {e}", path.display())));
     MetricsRegistry::from_json(&text)
         .unwrap_or_else(|e| data_error(&format!("{}: {e}", path.display())))
 }
@@ -144,7 +138,7 @@ fn emit(text: &str) {
         if e.kind() == std::io::ErrorKind::BrokenPipe {
             std::process::exit(0);
         }
-        io_error(&format!("cannot write to stdout: {e}"));
+        CLI.io_error(&format!("cannot write to stdout: {e}"));
     }
 }
 

@@ -49,24 +49,16 @@ const CLI: Cli = Cli {
        sdv-store gc DIR [--keep-fingerprint HEX]",
 };
 
-/// A runtime failure on a well-formed command line: no usage banner, and a
-/// distinct exit code so callers can tell it from operator error (2) and
-/// from `verify`-found corruption (1).
-fn io_error(message: &str) -> ! {
-    eprintln!("sdv-store: {message}");
-    std::process::exit(3)
-}
-
 fn open(dir: &Path) -> Store {
     Store::open(dir, cachefile::simulator_fingerprint())
-        .unwrap_or_else(|e| io_error(&format!("cannot open store {}: {e}", dir.display())))
+        .unwrap_or_else(|e| CLI.io_error(&format!("cannot open store {}: {e}", dir.display())))
 }
 
 fn stats(dir: &Path) {
     let store = open(dir);
     let stats = store
         .stats()
-        .unwrap_or_else(|e| io_error(&format!("cannot read store {}: {e}", dir.display())));
+        .unwrap_or_else(|e| CLI.io_error(&format!("cannot read store {}: {e}", dir.display())));
     println!(
         "store {} (fingerprint {:016x}):\n  {stats}",
         dir.display(),
@@ -78,7 +70,7 @@ fn verify(dir: &Path) {
     let store = open(dir);
     let report = store
         .verify()
-        .unwrap_or_else(|e| io_error(&format!("cannot read store {}: {e}", dir.display())));
+        .unwrap_or_else(|e| CLI.io_error(&format!("cannot read store {}: {e}", dir.display())));
     println!("verify {}: {report}", dir.display());
     if !report.is_ok() {
         std::process::exit(1);
@@ -89,7 +81,7 @@ fn repair(dir: &Path) {
     let store = open(dir);
     let report = store
         .repair()
-        .unwrap_or_else(|e| io_error(&format!("cannot repair store {}: {e}", dir.display())));
+        .unwrap_or_else(|e| CLI.io_error(&format!("cannot repair store {}: {e}", dir.display())));
     println!("repair {}: {report}", dir.display());
 }
 
@@ -115,7 +107,7 @@ fn merge(dest: &Path, sources: &[PathBuf]) {
     for src in sources {
         match store.merge_from(src) {
             Ok(report) => println!("merged store {}: {report}", src.display()),
-            Err(e) => io_error(&format!("cannot merge {}: {e}", src.display())),
+            Err(e) => CLI.io_error(&format!("cannot merge {}: {e}", src.display())),
         }
     }
 }
@@ -129,7 +121,7 @@ fn gc(dir: &Path, keep: Option<&str>) {
     let store = open(dir);
     let report = store
         .gc(keep)
-        .unwrap_or_else(|e| io_error(&format!("cannot gc {}: {e}", dir.display())));
+        .unwrap_or_else(|e| CLI.io_error(&format!("cannot gc {}: {e}", dir.display())));
     println!(
         "gc {} (kept fingerprint {keep:016x}): {report}",
         dir.display()

@@ -1,16 +1,16 @@
 //! Set-associative cache state (tags only — the simulator is timing-directed,
 //! data values live in the functional emulator).
 //!
-//! Two interchangeable lookup models drive the same tag array:
+//! Two constructors drive the same tag array:
 //!
-//! * [`CacheModel::FastPath`] (the default) keeps a per-set MRU **way
+//! * [`Cache::new`] is the production path.  It keeps a per-set MRU **way
 //!   predictor** — the predicted way is checked first, so the steady-state hit
 //!   touches one tag instead of scanning the set — and compact per-set **age
 //!   ranks** (a `0..ways` recency permutation per set) in place of the global
 //!   `stamp`/`last_used` counters, so victim selection on a miss is a small
 //!   `u8` max-scan instead of a full-set `min_by_key` over 64-bit stamps.
-//! * [`CacheModel::NaiveScan`] is the original global-timestamp LRU scan,
-//!   retained as a reference oracle: both models produce identical
+//! * [`Cache::reference`] is the original global-timestamp LRU scan,
+//!   retained as a reference oracle: both produce identical
 //!   hit/miss/writeback/eviction sequences and [`CacheStats`] on any access
 //!   stream (pinned by a property test in `tests/cache_properties.rs`).
 
@@ -77,17 +77,6 @@ impl CacheConfig {
     }
 }
 
-/// Which lookup implementation a [`Cache`] uses (results are identical).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheModel {
-    /// Way-predicted hit path with per-set age-rank LRU (the default).
-    #[default]
-    FastPath,
-    /// The original full-set scan with global LRU stamps, kept as a
-    /// reference oracle for equivalence tests.
-    NaiveScan,
-}
-
 /// Hit/miss counters for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -113,7 +102,8 @@ impl CacheStats {
     }
 }
 
-/// Way-predictor accuracy counters (only advanced by [`CacheModel::FastPath`]).
+/// Way-predictor accuracy counters (only advanced by [`Cache::new`]'s
+/// production path).
 ///
 /// Cache misses are not counted in either bucket: there is no way to predict
 /// for a line that is absent.
@@ -157,9 +147,9 @@ struct Line {
     tag: u64,
     valid: bool,
     dirty: bool,
-    /// Global LRU stamp ([`CacheModel::NaiveScan`] only).
+    /// Global LRU stamp ([`Cache::reference`] only).
     last_used: u64,
-    /// Per-set recency rank, 0 = MRU ([`CacheModel::FastPath`] only).  The
+    /// Per-set recency rank, 0 = MRU ([`Cache::new`] only).  The
     /// valid lines of a set always hold a permutation of `0..valid_count`.
     age: u8,
 }
@@ -181,22 +171,18 @@ pub struct Cache {
     sets: usize,
     stamp: u64,
     stats: CacheStats,
-    model: CacheModel,
+    /// Built by [`Self::reference`]: global-stamp LRU scan, no way predictor.
+    reference: bool,
     /// Per-set predicted (MRU) way.
     pred: Vec<u8>,
     way_stats: WayPredictStats,
 }
 
 impl Cache {
-    /// Creates an empty (all-invalid) cache using the default fast-path model.
+    /// Creates an empty (all-invalid) cache on the way-predicted production
+    /// path.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
-        Cache::with_model(cfg, CacheModel::default())
-    }
-
-    /// Creates an empty cache driven by the given lookup model.
-    #[must_use]
-    pub fn with_model(cfg: CacheConfig, model: CacheModel) -> Self {
         let sets = cfg.sets();
         Cache {
             cfg,
@@ -213,9 +199,21 @@ impl Cache {
             sets,
             stamp: 0,
             stats: CacheStats::default(),
-            model,
+            reference: false,
             pred: vec![0; sets],
             way_stats: WayPredictStats::default(),
+        }
+    }
+
+    /// Creates an empty reference oracle: the full-set scan with global LRU
+    /// stamps.  It reports the same outcomes and [`CacheStats`] as
+    /// [`Self::new`] on every access stream; the property tests pin the two
+    /// against each other.
+    #[must_use]
+    pub fn reference(cfg: CacheConfig) -> Self {
+        Cache {
+            reference: true,
+            ..Self::new(cfg)
         }
     }
 
@@ -225,19 +223,13 @@ impl Cache {
         self.cfg
     }
 
-    /// The lookup model driving this cache.
-    #[must_use]
-    pub fn model(&self) -> CacheModel {
-        self.model
-    }
-
     /// The accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// Way-predictor accuracy counters (all-zero under [`CacheModel::NaiveScan`]).
+    /// Way-predictor accuracy counters (all-zero under [`Self::reference`]).
     #[must_use]
     pub fn way_predict_stats(&self) -> WayPredictStats {
         self.way_stats
@@ -286,9 +278,10 @@ impl Cache {
     /// with [`Self::allocate_miss`] (the hierarchy skips it when no MSHR is
     /// free).
     pub fn try_hit(&mut self, addr: u64, is_write: bool) -> bool {
-        match self.model {
-            CacheModel::FastPath => self.try_hit_fast(addr, is_write),
-            CacheModel::NaiveScan => self.try_hit_naive(addr, is_write),
+        if self.reference {
+            self.try_hit_naive(addr, is_write)
+        } else {
+            self.try_hit_fast(addr, is_write)
         }
     }
 
@@ -304,38 +297,35 @@ impl Cache {
         let base = set * ways;
 
         // Victim: the first invalid way, else the LRU way.
-        let victim_idx = match self.model {
-            CacheModel::FastPath => {
-                let mut victim = 0;
-                let mut victim_age = 0u8;
-                for (i, line) in self.lines[base..base + ways].iter().enumerate() {
-                    if !line.valid {
-                        victim = i;
-                        break;
-                    }
-                    if line.age >= victim_age {
-                        victim = i;
-                        victim_age = line.age;
-                    }
+        let victim_idx = if self.reference {
+            let slice = &self.lines[base..base + ways];
+            slice
+                .iter()
+                .enumerate()
+                .find(|(_, l)| !l.valid)
+                .map(|(i, _)| i)
+                .unwrap_or_else(|| {
+                    slice
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, l)| l.last_used)
+                        .map(|(i, _)| i)
+                        .expect("ways > 0")
+                })
+        } else {
+            let mut victim = 0;
+            let mut victim_age = 0u8;
+            for (i, line) in self.lines[base..base + ways].iter().enumerate() {
+                if !line.valid {
+                    victim = i;
+                    break;
                 }
-                victim
+                if line.age >= victim_age {
+                    victim = i;
+                    victim_age = line.age;
+                }
             }
-            CacheModel::NaiveScan => {
-                let slice = &self.lines[base..base + ways];
-                slice
-                    .iter()
-                    .enumerate()
-                    .find(|(_, l)| !l.valid)
-                    .map(|(i, _)| i)
-                    .unwrap_or_else(|| {
-                        slice
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, l)| l.last_used)
-                            .map(|(i, _)| i)
-                            .expect("ways > 0")
-                    })
-            }
+            victim
         };
 
         let mut writeback = None;
@@ -348,7 +338,7 @@ impl Cache {
                 writeback = Some((victim.tag * self.sets as u64 + set as u64) * line_bytes);
             }
         }
-        if self.model == CacheModel::FastPath {
+        if !self.reference {
             // The filled line becomes MRU: every other valid line ages.
             for line in &mut self.lines[base..base + ways] {
                 if line.valid {
@@ -357,7 +347,7 @@ impl Cache {
             }
             self.pred[set] = victim_idx as u8;
         }
-        // (NaiveScan fills at the stamp the preceding `try_hit` bumped to,
+        // (The reference fills at the stamp the preceding `try_hit` bumped to,
         // exactly like the pre-split single `access`.)
         self.lines[base + victim_idx] = Line {
             tag,
@@ -596,8 +586,8 @@ mod tests {
             (0x11f, false),
             (0x120, false),
         ];
-        let mut fast = Cache::with_model(cfg, CacheModel::FastPath);
-        let mut naive = Cache::with_model(cfg, CacheModel::NaiveScan);
+        let mut fast = Cache::new(cfg);
+        let mut naive = Cache::reference(cfg);
         for &(addr, is_write) in stream {
             assert_eq!(
                 fast.access(addr, is_write),
@@ -612,7 +602,6 @@ mod tests {
     fn way_predictor_counters_on_a_known_stream() {
         // 4 sets × 2 ways, 32-byte lines.  Set 0 holds lines 0x000/0x080.
         let mut c = small();
-        assert_eq!(c.model(), CacheModel::FastPath);
         c.access(0x000, false); // miss; fills way 0, predictor -> way 0
         c.access(0x008, false); // predicted hit (same line, way 0)
         c.access(0x010, false); // predicted hit
@@ -638,7 +627,7 @@ mod tests {
             line_bytes: 32,
             ways: 2,
         };
-        let mut c = Cache::with_model(cfg, CacheModel::NaiveScan);
+        let mut c = Cache::reference(cfg);
         c.access(0x0, false);
         c.access(0x0, false);
         assert_eq!(c.way_predict_stats(), WayPredictStats::default());

@@ -221,13 +221,27 @@ mod tests {
     #[test]
     fn generators_share_one_session_cache() {
         let exp = Experiment::new(quick()).workloads(vec![Workload::Compress, Workload::Swim]);
-        let _ = exp.fig10(); // 4-way 1pV suite
+        let fig10 = exp.fig10(); // 4-way 1pV suite
         let after_fig10 = exp.report().simulated;
-        let _ = exp.fig13(); // same configuration again
+        let fig13 = exp.fig13(); // same configuration again
         assert_eq!(exp.report().simulated, after_fig10);
-        let _ = exp.fig14(); // 8-way 1pV: new cells
+        let fig14 = exp.fig14(); // 8-way 1pV: new cells
         assert!(exp.report().simulated > after_fig10);
         assert!(exp.report().deduplicated() > 0);
+        // Every other figure generator runs and renders on the same session.
+        assert!(exp.fig1().to_string().contains("SpecFP"));
+        let rendered = [
+            exp.fig3().to_string(),
+            exp.fig7().to_string(),
+            exp.fig9().to_string(),
+            fig10.to_string(),
+            fig13.to_string(),
+            fig14.to_string(),
+            exp.fig15().to_string(),
+        ];
+        for text in &rendered {
+            assert!(text.contains("compress") && text.contains("swim"), "{text}");
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Cache-model equivalence: for random address streams, the way-predicted
-//! fast path ([`CacheModel::FastPath`]) must produce exactly the same
+//! production path ([`Cache::new`]) must produce exactly the same
 //! hit/miss/writeback/eviction behaviour and [`CacheStats`] as the original
-//! full-scan LRU reference ([`CacheModel::NaiveScan`]) — on every geometry the
+//! full-scan LRU reference ([`Cache::reference`]) — on every geometry the
 //! simulator uses (2- and 4-way, 32- and 64-byte lines) and on degenerate
 //! small caches where sets and ways collide constantly.
 
 use proptest::prelude::*;
-use sdv::mem::{Cache, CacheConfig, CacheModel, DataMemory, MemHierarchyConfig};
+use sdv::mem::{Cache, CacheConfig, DataMemory, MemHierarchyConfig};
 
 /// A compact recipe for one access of a generated stream: the address is
 /// assembled from a small region base, a line index and a byte offset so that
@@ -73,10 +73,8 @@ proptest! {
         stream in proptest::collection::vec(access_strategy(), 1..256),
     ) {
         for cfg in geometries() {
-            let mut fast = Cache::with_model(cfg, CacheModel::FastPath);
-            let mut naive = Cache::with_model(cfg, CacheModel::NaiveScan);
-            prop_assert_eq!(fast.model(), CacheModel::FastPath);
-            prop_assert_eq!(naive.model(), CacheModel::NaiveScan);
+            let mut fast = Cache::new(cfg);
+            let mut naive = Cache::reference(cfg);
             for (i, &a) in stream.iter().enumerate() {
                 let addr = addr_of(a, cfg.line_bytes as u64);
                 let f = fast.access(addr, a.is_write);
@@ -103,9 +101,9 @@ proptest! {
     }
 
     /// The same equivalence through the full data hierarchy: identical
-    /// completion cycles, rejections and L1/L2 counters whatever the cache
-    /// model underneath.  (The hierarchy always runs the fast path; the
-    /// oracle here is a naive-model `Cache` pair driven by hand.)
+    /// completion cycles, rejections and L1/L2 counters.  (The hierarchy
+    /// always runs the production path; the oracle here is a
+    /// `Cache::reference` pair driven by hand.)
     #[test]
     fn hierarchy_timing_is_reproduced_by_naive_caches(
         stream in proptest::collection::vec(access_strategy(), 1..128),
@@ -115,8 +113,8 @@ proptest! {
             ..MemHierarchyConfig::table1()
         };
         let mut dmem = DataMemory::new(&cfg);
-        let mut l1 = Cache::with_model(cfg.l1d, CacheModel::NaiveScan);
-        let mut l2 = Cache::with_model(cfg.l2, CacheModel::NaiveScan);
+        let mut l1 = Cache::reference(cfg.l1d);
+        let mut l2 = Cache::reference(cfg.l2);
         // Oracle MSHR file: (line, done_cycle) pairs, retained while pending.
         let mut outstanding: Vec<(u64, u64)> = Vec::new();
         for (i, &a) in stream.iter().enumerate() {
